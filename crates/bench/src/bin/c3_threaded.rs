@@ -54,7 +54,8 @@ fn export_trace() {
     // Unbounded like the measured runs above: the step count includes
     // idle dispatch spins of token-starved GDPs, so no finite total-step
     // cap is schedule-independent; the workload itself terminates.
-    let (mut sys, outcome) = i432_sim::run_threaded(sys, u64::MAX);
+    let (mut sys, outcome) =
+        i432_sim::run_threaded(sys, u64::MAX, i432_sim::RunConfig::default(), Vec::new());
     assert!(
         outcome.completed && outcome.system_errors == 0,
         "traced run failed: {outcome:?}"

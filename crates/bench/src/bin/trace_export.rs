@@ -121,7 +121,8 @@ fn main() -> ExitCode {
         // Unbounded like the c3 bench: the step count includes idle
         // dispatch spins of token-starved GDPs, so no finite total-step
         // cap is schedule-independent; the workload itself terminates.
-        let (s, outcome) = i432_sim::run_threaded(sys, u64::MAX);
+        let (s, outcome) =
+            i432_sim::run_threaded(sys, u64::MAX, i432_sim::RunConfig::default(), Vec::new());
         assert!(
             outcome.completed && outcome.system_errors == 0,
             "threaded run failed: {outcome:?}"

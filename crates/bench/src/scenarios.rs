@@ -254,14 +254,15 @@ pub fn c3_threaded(
     jobs: u32,
     iters: u64,
 ) -> Vec<ThreadedPoint> {
-    use i432_sim::{run_threaded, run_threaded_global_lock};
+    use i432_sim::{run_threaded, run_threaded_global_lock, RunConfig};
     use std::time::Instant;
     let build = |cpus: u32| batch_system(cpus, shards, jobs, iters);
     thread_counts
         .iter()
         .map(|&threads| {
             let t0 = Instant::now();
-            let (_, striped) = run_threaded(build(threads), u64::MAX);
+            let (_, striped) =
+                run_threaded(build(threads), u64::MAX, RunConfig::default(), Vec::new());
             let striped_wall = t0.elapsed();
             assert!(striped.completed, "striped run must finish: {striped:?}");
             let t1 = Instant::now();
@@ -338,7 +339,7 @@ pub struct FusionPoint {
 /// deterministic cycle model is untouched by fusion, so the per-point
 /// cycle totals must be bit-identical; only the host wall clock moves.
 pub fn c3_fusion(thread_counts: &[u32], shards: u32, jobs: u32, iters: u64) -> Vec<FusionPoint> {
-    use i432_sim::run_threaded_full;
+    use i432_sim::{run_threaded, RunConfig};
     use std::time::Instant;
     // The simulated cycles every process accumulated — fusion must not
     // move this by a single cycle.
@@ -353,22 +354,23 @@ pub fn c3_fusion(thread_counts: &[u32], shards: u32, jobs: u32, iters: u64) -> V
         .iter()
         .map(|&threads| {
             let t0 = Instant::now();
-            let (mut fsys, fused) = run_threaded_full(
+            let (mut fsys, fused) = run_threaded(
                 batch_system(threads, shards, jobs, iters),
                 u64::MAX,
-                true,
-                true,
-                true,
+                RunConfig::default(),
+                Vec::new(),
             );
             let fused_wall = t0.elapsed();
             assert!(fused.completed, "fused run must finish: {fused:?}");
             let t1 = Instant::now();
-            let (mut usys, unfused) = run_threaded_full(
+            let (mut usys, unfused) = run_threaded(
                 batch_system(threads, shards, jobs, iters),
                 u64::MAX,
-                true,
-                true,
-                false,
+                RunConfig {
+                    fusion: false,
+                    ..RunConfig::default()
+                },
+                Vec::new(),
             );
             let unfused_wall = t1.elapsed();
             assert!(unfused.completed, "unfused run must finish: {unfused:?}");
@@ -780,11 +782,12 @@ pub fn c5_gc_mutator_overhead(
     workers: u32,
     rounds: u64,
 ) -> GcMutatorOverhead {
+    use i432_sim::RunConfig;
     use imax_gc::{run_threaded_parallel_gc, GcConfig, ParallelGc};
     use std::time::Instant;
     let t0 = Instant::now();
     let (sys, counter, expected) = token_mutex_system(cpus, shards, workers, rounds);
-    let (mut sys, bare) = i432_sim::run_threaded(sys, u64::MAX);
+    let (mut sys, bare) = i432_sim::run_threaded(sys, u64::MAX, RunConfig::default(), Vec::new());
     let baseline_wall = t0.elapsed();
     assert!(bare.completed, "bare run must finish: {bare:?}");
     assert_eq!(sys.space.read_u64(counter, 0).unwrap(), expected);
@@ -792,7 +795,7 @@ pub fn c5_gc_mutator_overhead(
     let t1 = Instant::now();
     let (sys, counter, expected) = token_mutex_system(cpus, shards, workers, rounds);
     let gc = ParallelGc::new(shards, GcConfig::default());
-    let (mut sys, with_gc) = run_threaded_parallel_gc(sys, u64::MAX, true, &gc);
+    let (mut sys, with_gc) = run_threaded_parallel_gc(sys, u64::MAX, RunConfig::default(), &gc);
     let gc_wall = t1.elapsed();
     assert!(with_gc.completed, "gc-on run must finish: {with_gc:?}");
     assert_eq!(sys.space.read_u64(counter, 0).unwrap(), expected);
@@ -1075,6 +1078,7 @@ pub fn c7_port_threaded(
     messages: u64,
     shards: u32,
 ) -> (Vec<PortQueuePoint>, f64) {
+    use i432_sim::{run_threaded, RunConfig};
     use std::time::Instant;
     let points = pair_counts
         .iter()
@@ -1083,20 +1087,23 @@ pub fn c7_port_threaded(
             // Unbounded step caps, as in C3: the count includes idle
             // dispatch spins, so no finite budget is schedule-independent.
             let t0 = Instant::now();
-            let (_, queued) = i432_sim::run_threaded_with_opts(
+            let (_, queued) = run_threaded(
                 port_pipeline_system(pairs, capacity, messages, shards),
                 u64::MAX,
-                true,
-                true,
+                RunConfig::default(),
+                Vec::new(),
             );
             let queued_wall = t0.elapsed();
             assert!(queued.completed, "queued run must finish: {queued:?}");
             let t1 = Instant::now();
-            let (_, locked) = i432_sim::run_threaded_with_opts(
+            let (_, locked) = run_threaded(
                 port_pipeline_system(pairs, capacity, messages, shards),
                 u64::MAX,
-                true,
-                false,
+                RunConfig {
+                    queue: false,
+                    ..RunConfig::default()
+                },
+                Vec::new(),
             );
             let locked_wall = t1.elapsed();
             assert!(locked.completed, "locked run must finish: {locked:?}");

@@ -23,8 +23,9 @@
 //! `--explore N` additionally runs N seeded schedule
 //! explorations. `--gc` switches every matrix point to the
 //! parallel-collector arm: the per-shard collector workers mark and
-//! sweep on real threads *while* the workload runs, and the end state
-//! must still match the (GC-free) deterministic reference bit-for-bit.
+//! sweep on real threads *while* the workload runs, under every
+//! cache × port-queue × fusion arm selected, and the end state must
+//! still match the (GC-free) deterministic reference bit-for-bit.
 //! Failing seeds are written to `--out` (default
 //! `CONFORM_FAILURES.json`) and the process exits nonzero.
 //!
@@ -44,9 +45,8 @@
 //! digest mismatch.
 
 use i432_conform::{
-    check_filing_seed, check_seed_fusion, check_seed_pargc, explore, generate, run_filing_threaded,
-    run_threaded_case, CacheModes, ExploreConfig, FusionModes, QueueModes, FULL_MATRIX,
-    QUICK_MATRIX,
+    check_filing_seed, check_seed, check_seed_pargc, explore, generate, run_filing_threaded,
+    run_threaded_sys, Arms, ExploreConfig, Modes, RunConfig, FULL_MATRIX, QUICK_MATRIX,
 };
 use std::fmt::Write as _;
 use std::process::ExitCode;
@@ -62,9 +62,7 @@ struct Args {
     start: u64,
     count: u64,
     matrix: &'static [(u32, u32)],
-    cache: CacheModes,
-    queue: QueueModes,
-    fusion: FusionModes,
+    arms: Arms,
     explore_seeds: u64,
     out: String,
     trace: bool,
@@ -77,9 +75,7 @@ fn parse_args() -> Result<Args, String> {
         start: 0,
         count: 256,
         matrix: FULL_MATRIX,
-        cache: CacheModes::Both,
-        queue: QueueModes::On,
-        fusion: FusionModes::On,
+        arms: Arms::default(),
         explore_seeds: 0,
         out: "CONFORM_FAILURES.json".into(),
         trace: false,
@@ -127,37 +123,15 @@ fn parse_args() -> Result<Args, String> {
                 };
                 i += 2;
             }
-            "--cache" => {
-                args.cache = match need_value(i)? {
-                    "on" => CacheModes::On,
-                    "off" => CacheModes::Off,
-                    "both" => CacheModes::Both,
-                    other => return Err(format!("--cache: expected on|off|both, got {other:?}")),
-                };
-                i += 2;
-            }
-            "--port-queue" => {
-                args.queue = match QueueModes::parse(need_value(i)?) {
-                    Some(q) => q,
-                    None => {
-                        return Err(format!(
-                            "--port-queue: expected on|off|both, got {:?}",
-                            need_value(i)?
-                        ))
-                    }
-                };
-                i += 2;
-            }
-            "--fusion" => {
-                args.fusion = match FusionModes::parse(need_value(i)?) {
-                    Some(f) => f,
-                    None => {
-                        return Err(format!(
-                            "--fusion: expected on|off|both, got {:?}",
-                            need_value(i)?
-                        ))
-                    }
-                };
+            flag @ ("--cache" | "--port-queue" | "--fusion") => {
+                let v = need_value(i)?;
+                let modes = Modes::parse(v)
+                    .ok_or_else(|| format!("{flag}: expected on|off|both, got {v:?}"))?;
+                match flag {
+                    "--cache" => args.arms.cache = modes,
+                    "--port-queue" => args.arms.queue = modes,
+                    _ => args.arms.fusion = modes,
+                }
                 i += 2;
             }
             "--explore" => {
@@ -207,9 +181,9 @@ fn main() -> ExitCode {
         args.start,
         args.start + args.count,
         args.matrix.len(),
-        args.cache.arms().len(),
-        args.queue.arms().len(),
-        args.fusion.arms().len(),
+        args.arms.cache.arms().len(),
+        args.arms.queue.arms().len(),
+        args.arms.fusion.arms().len(),
         if args.gc {
             ", concurrent parallel-GC arm"
         } else {
@@ -220,10 +194,8 @@ fn main() -> ExitCode {
     for seed in args.start..args.start + args.count {
         let report = match args.workload {
             Workload::Filing => check_filing_seed(seed, args.matrix),
-            Workload::Gen if args.gc => check_seed_pargc(seed, args.matrix, args.cache),
-            Workload::Gen => {
-                check_seed_fusion(seed, args.matrix, args.cache, args.queue, args.fusion)
-            }
+            Workload::Gen if args.gc => check_seed_pargc(seed, args.matrix, args.arms),
+            Workload::Gen => check_seed(seed, args.matrix, args.arms),
         };
         if report.passed() {
             if (seed - args.start + 1) % 32 == 0 {
@@ -284,7 +256,7 @@ fn main() -> ExitCode {
                     }
                     Workload::Gen => {
                         let case = generate(f.seed);
-                        run_threaded_case(&case, 4, 4);
+                        run_threaded_sys(&case, 4, 4, RunConfig::default());
                     }
                 }));
                 if replay.is_err() {

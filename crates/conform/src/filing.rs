@@ -22,7 +22,7 @@
 //! still exact and the `c13_filing` bench pins it.
 
 use crate::oracle::SeedReport;
-use i432_arch::{digest_from_roots, ProcessStatus};
+use i432_arch::digest_from_roots;
 use i432_sim::RunOutcome;
 use imax_filing::{build_filing_system, client_checksums, FilingWorkload};
 
@@ -53,18 +53,6 @@ pub fn filing_workload(seed: u64, shards: u32, workers: u32, use_queue: bool) ->
     w
 }
 
-fn status_code(s: ProcessStatus) -> u8 {
-    match s {
-        ProcessStatus::Ready => 0,
-        ProcessStatus::Running => 1,
-        ProcessStatus::BlockedSend => 2,
-        ProcessStatus::BlockedReceive => 3,
-        ProcessStatus::Stopped => 4,
-        ProcessStatus::Faulted => 5,
-        ProcessStatus::Terminated => 6,
-    }
-}
-
 /// Folds a filing run's end state into a [`CaseOutcome`] so the filing
 /// arm rides the same reporting plumbing as the generated cases. The
 /// `counter` slot carries the served-request count; the digest mixes
@@ -92,7 +80,7 @@ fn outcome_of(sys: &mut i432_sim::System, handles: &imax_filing::FilingHandles) 
         .iter()
         .map(|p| {
             let s = sys.space.process(*p).expect("client process is live");
-            (status_code(s.status), s.fault_code)
+            (s.status, s.fault_code)
         })
         .collect();
     CaseOutcome {
@@ -132,7 +120,8 @@ pub fn run_filing_deterministic(seed: u64) -> CaseOutcome {
 pub fn run_filing_threaded(seed: u64, shards: u32, workers: u32, use_queue: bool) -> CaseOutcome {
     let w = filing_workload(seed, shards, workers, use_queue);
     let (sys, handles) = build_filing_system(&w);
-    let (mut back, outcome) = i432_sim::run_threaded_full(sys, u64::MAX, true, true, true);
+    let (mut back, outcome) =
+        i432_sim::run_threaded(sys, u64::MAX, i432_sim::RunConfig::default(), Vec::new());
     assert!(
         outcome.completed,
         "seed {seed}: threaded filing arm did not complete ({outcome:?}); replay: {}",

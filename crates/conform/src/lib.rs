@@ -36,9 +36,9 @@ pub use filing::{
     run_filing_threaded,
 };
 pub use gen::{generate, GenCase, GenProcess};
+pub use i432_sim::RunConfig;
 pub use oracle::{
-    check_seed, check_seed_full, check_seed_fusion, check_seed_modes, check_seed_pargc,
-    replay_command, run_deterministic, run_threaded_case, run_threaded_sys_full,
-    run_threaded_sys_gc, run_threaded_sys_opts, run_threaded_sys_pargc, CacheModes, CaseOutcome,
-    FusionModes, QueueModes, SeedReport, FULL_MATRIX, QUICK_MATRIX,
+    check_seed, check_seed_pargc, replay_command, run_deterministic, run_threaded_sys,
+    run_threaded_sys_gc, run_threaded_sys_pargc, Arms, CaseOutcome, Modes, SeedReport, FULL_MATRIX,
+    QUICK_MATRIX,
 };

@@ -27,7 +27,7 @@ use i432_arch::{
     Rights, SysState, SystemType,
 };
 use i432_gdp::process::ProcessSpec;
-use i432_sim::{RunOutcome, System, SystemConfig};
+use i432_sim::{RunConfig, RunOutcome, System, SystemConfig};
 use imax_ipc::create_port;
 
 /// The full conformance matrix from the acceptance criteria:
@@ -60,7 +60,7 @@ pub struct CaseOutcome {
     /// Final shared-counter value.
     pub counter: u64,
     /// `(status, fault_code)` per process, in spawn order.
-    pub proc_states: Vec<(u8, u16)>,
+    pub proc_states: Vec<(ProcessStatus, u16)>,
 }
 
 /// Everything [`build`] wires up besides the [`System`] itself.
@@ -73,18 +73,6 @@ struct Harness {
 /// The one-line command that reproduces a failing seed locally.
 pub fn replay_command(seed: u64) -> String {
     format!("cargo run --release -p i432-conform --bin conform_fuzz -- --seed {seed}")
-}
-
-fn status_code(s: ProcessStatus) -> u8 {
-    match s {
-        ProcessStatus::Ready => 0,
-        ProcessStatus::Running => 1,
-        ProcessStatus::BlockedSend => 2,
-        ProcessStatus::BlockedReceive => 3,
-        ProcessStatus::Stopped => 4,
-        ProcessStatus::Faulted => 5,
-        ProcessStatus::Terminated => 6,
-    }
 }
 
 /// Builds a system running `case` on the given stripe/processor counts.
@@ -236,7 +224,7 @@ fn outcome_of(sys: &mut System, h: &Harness) -> CaseOutcome {
         .iter()
         .map(|p| {
             let s = sys.space.process(*p).expect("registered process is live");
-            (status_code(s.status), s.fault_code)
+            (s.status, s.fault_code)
         })
         .collect();
     CaseOutcome {
@@ -267,58 +255,23 @@ pub fn run_deterministic(case: &GenCase) -> CaseOutcome {
     run_deterministic_sys(case).1
 }
 
-/// Runs the subject arm at one matrix point with the qualification and
-/// binding-register caches explicitly on or off. Returns the system too.
-pub fn run_threaded_sys_with(
+/// Runs the subject arm at one matrix point with the fast-path arms
+/// `cfg` selects. Every arm must be digest-identical to the reference —
+/// the port rings are drained back into the message areas before the
+/// space is handed back, and fused dispatch charges the per-instruction
+/// cycle model unchanged by construction. Returns the system too.
+pub fn run_threaded_sys(
     case: &GenCase,
     shards: u32,
     cpus: u32,
-    cache: bool,
-) -> (System, CaseOutcome) {
-    run_threaded_sys_opts(case, shards, cpus, cache, true)
-}
-
-/// [`run_threaded_sys_with`] with the port-ring fast path made explicit:
-/// `queue = false` keeps every port operation on the locked rendezvous
-/// path, `queue = true` (the runner default) lets non-blocking FIFO
-/// sends and receives go through the per-port rings. The two must be
-/// digest-identical — the rings are drained back into the message areas
-/// before the space is handed back.
-pub fn run_threaded_sys_opts(
-    case: &GenCase,
-    shards: u32,
-    cpus: u32,
-    cache: bool,
-    queue: bool,
-) -> (System, CaseOutcome) {
-    // The runner default: dispatch specialization follows the cache
-    // flag (a caching threaded runner is a fused one).
-    run_threaded_sys_full(case, shards, cpus, cache, queue, cache)
-}
-
-/// [`run_threaded_sys_opts`] with dispatch specialization (the block
-/// cache, superinstruction fusion and the call/port-site inline caches)
-/// made explicit. `fusion` rides on the unlocked fast path, so it is
-/// inert when `cache` is off. Every arm must be digest-identical to the
-/// reference — fused dispatch charges the per-instruction cycle model
-/// unchanged by construction.
-pub fn run_threaded_sys_full(
-    case: &GenCase,
-    shards: u32,
-    cpus: u32,
-    cache: bool,
-    queue: bool,
-    fusion: bool,
+    cfg: RunConfig,
 ) -> (System, CaseOutcome) {
     let (sys, h) = build(case, shards, cpus);
-    let (mut sys, outcome) = i432_sim::run_threaded_full(sys, THR_BUDGET, cache, queue, fusion);
+    let (mut sys, outcome) = i432_sim::run_threaded(sys, THR_BUDGET, cfg, Vec::new());
     assert!(
         outcome.completed && outcome.system_errors == 0,
-        "seed {}: threaded arm ({shards} shards x {cpus} threads, cache {}, queue {}, fusion {}) failed: {outcome:?}; replay: {}",
+        "seed {}: threaded arm ({shards} shards x {cpus} threads, {cfg}) failed: {outcome:?}; replay: {}",
         case.seed,
-        if cache { "on" } else { "off" },
-        if queue { "on" } else { "off" },
-        if fusion { "on" } else { "off" },
         replay_command(case.seed)
     );
     let o = outcome_of(&mut sys, &h);
@@ -336,7 +289,7 @@ pub fn run_threaded_sys_gc(
     case: &GenCase,
     shards: u32,
     cpus: u32,
-    cache: bool,
+    cfg: RunConfig,
     increments_per_call: u32,
 ) -> (
     System,
@@ -371,10 +324,10 @@ pub fn run_threaded_sys_gc(
     // spins and here the daemon also steps continuously, so no finite
     // total-step budget is schedule-independent. The run still ends —
     // the workload halts and completion tracking ignores the daemon.
-    let (mut sys, outcome) = i432_sim::run_threaded_with(sys, u64::MAX, cache);
+    let (mut sys, outcome) = i432_sim::run_threaded(sys, u64::MAX, cfg, Vec::new());
     assert!(
         outcome.completed && outcome.system_errors == 0,
-        "seed {}: threaded+GC arm ({shards} shards x {cpus} threads) failed: {outcome:?}; replay: {}",
+        "seed {}: threaded+GC arm ({shards} shards x {cpus} threads, {cfg}) failed: {outcome:?}; replay: {}",
         case.seed,
         replay_command(case.seed)
     );
@@ -397,7 +350,7 @@ pub fn run_threaded_sys_pargc(
     case: &GenCase,
     shards: u32,
     cpus: u32,
-    cache: bool,
+    cfg: RunConfig,
 ) -> (System, CaseOutcome, imax_gc::ParGcStats) {
     let (mut sys, h) = build(case, shards, cpus);
     // Short workload slices, as in the daemon arm: collector cycles
@@ -413,10 +366,10 @@ pub fn run_threaded_sys_pargc(
     // Unbounded for the same reason as the daemon arm: epoch bumps from
     // concurrent sweeps perturb idle-spin counts, so no finite
     // total-step budget is schedule-independent.
-    let (mut sys, outcome) = imax_gc::run_threaded_parallel_gc(sys, u64::MAX, cache, &gc);
+    let (mut sys, outcome) = imax_gc::run_threaded_parallel_gc(sys, u64::MAX, cfg, &gc);
     assert!(
         outcome.completed && outcome.system_errors == 0,
-        "seed {}: threaded+parallel-GC arm ({shards} shards x {cpus} threads) failed: {outcome:?}; replay: {}",
+        "seed {}: threaded+parallel-GC arm ({shards} shards x {cpus} threads, {cfg}) failed: {outcome:?}; replay: {}",
         case.seed,
         replay_command(case.seed)
     );
@@ -435,20 +388,19 @@ pub fn run_threaded_sys_pargc(
 /// Differential check of the parallel-collector arm: the reference
 /// deterministic run (no GC at all) and every matrix point running
 /// under concurrent per-shard collection must agree bit-for-bit on the
-/// workload-visible end state.
-pub fn check_seed_pargc(seed: u64, matrix: &[(u32, u32)], modes: CacheModes) -> SeedReport {
+/// workload-visible end state, at every configuration `arms` selects.
+pub fn check_seed_pargc(seed: u64, matrix: &[(u32, u32)], arms: Arms) -> SeedReport {
     let case = crate::gen::generate(seed);
     let reference = run_deterministic(&case);
     let mut mismatches = Vec::new();
     for &(shards, cpus) in matrix {
-        for &cache in modes.arms() {
-            let (_sys, got, stats) = run_threaded_sys_pargc(&case, shards, cpus, cache);
+        for cfg in arms.configs() {
+            let (_sys, got, stats) = run_threaded_sys_pargc(&case, shards, cpus, cfg);
             if got != reference {
                 mismatches.push(format!(
-                    "seed {seed}: {shards} shards x {cpus} threads (cache {}, parallel GC: \
+                    "seed {seed}: {shards} shards x {cpus} threads ({cfg}, parallel GC: \
                      {} cycles, {} reclaimed, {} steals) diverged \
                      (digest {:#018x} vs {:#018x}, counter {} vs {}, states {:?} vs {:?}); replay: {}",
-                    if cache { "on" } else { "off" },
                     stats.cycles,
                     stats.reclaimed,
                     stats.steals,
@@ -470,111 +422,78 @@ pub fn check_seed_pargc(seed: u64, matrix: &[(u32, u32)], modes: CacheModes) -> 
     }
 }
 
-/// Runs the subject arm at one matrix point (caches on, the default
-/// runner configuration). Returns the system too.
-pub fn run_threaded_sys(case: &GenCase, shards: u32, cpus: u32) -> (System, CaseOutcome) {
-    run_threaded_sys_with(case, shards, cpus, true)
-}
-
-/// Runs the subject arm at one matrix point and returns its end state.
-pub fn run_threaded_case(case: &GenCase, shards: u32, cpus: u32) -> CaseOutcome {
-    run_threaded_sys(case, shards, cpus).1
-}
-
-/// Which cache arms [`check_seed_modes`] exercises.
+/// Which settings of one fast-path arm the oracle exercises.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CacheModes {
-    /// Caches on only (the default runner configuration).
+pub enum Modes {
+    /// On only (the runner default).
     On,
-    /// Caches forced off only (every operation on the locked path).
+    /// Forced off only.
     Off,
-    /// Both — every matrix point runs twice, and the cached run must be
-    /// digest-identical to both the uncached run and the reference.
+    /// Both — every point runs twice, and the two runs must be
+    /// digest-identical to each other and to the reference.
     Both,
 }
 
-impl CacheModes {
-    /// The cache settings this mode expands to.
+impl Modes {
+    /// The settings this mode expands to.
     pub fn arms(self) -> &'static [bool] {
         match self {
-            CacheModes::On => &[true],
-            CacheModes::Off => &[false],
-            CacheModes::Both => &[true, false],
-        }
-    }
-}
-
-/// Which port-ring arms [`check_seed_full`] exercises.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum QueueModes {
-    /// Port rings on only (the default runner configuration).
-    On,
-    /// Port rings forced off only (every port operation on the locked
-    /// rendezvous path).
-    Off,
-    /// Both — every matrix × cache point runs twice, and the queued run
-    /// must be digest-identical to both the locked run and the
-    /// reference.
-    Both,
-}
-
-impl QueueModes {
-    /// The queue settings this mode expands to.
-    pub fn arms(self) -> &'static [bool] {
-        match self {
-            QueueModes::On => &[true],
-            QueueModes::Off => &[false],
-            QueueModes::Both => &[true, false],
+            Modes::On => &[true],
+            Modes::Off => &[false],
+            Modes::Both => &[true, false],
         }
     }
 
-    /// Parses a `--port-queue` flag value.
-    pub fn parse(s: &str) -> Option<QueueModes> {
+    /// Parses an `on|off|both` flag value.
+    pub fn parse(s: &str) -> Option<Modes> {
         match s {
-            "on" => Some(QueueModes::On),
-            "off" => Some(QueueModes::Off),
-            "both" => Some(QueueModes::Both),
+            "on" => Some(Modes::On),
+            "off" => Some(Modes::Off),
+            "both" => Some(Modes::Both),
             _ => None,
         }
     }
 }
 
-/// Which dispatch-specialization arms [`check_seed_fusion`] exercises.
-/// Fusion rides on the binding-register cache's fast path, so a fusion-on
-/// arm is only distinct from the plain cached arm when the cache arm is
-/// on.
+/// The fast-path arm product [`check_seed`] sweeps at every matrix
+/// point: one [`Modes`] per [`RunConfig`] field. `Default` runs both
+/// cache arms with port rings and fusion on — the qualification and
+/// binding-register caches must be semantically invisible, so every
+/// point is diffed cache-on *and* cache-off.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FusionModes {
-    /// Dispatch specialization on only (the default runner
-    /// configuration when the cache is on).
-    On,
-    /// Dispatch specialization forced off only (plain cached or locked
-    /// dispatch).
-    Off,
-    /// Both — every matrix × cache × queue point runs twice, and the
-    /// fused run must be digest-identical to both the unfused run and
-    /// the reference.
-    Both,
+pub struct Arms {
+    /// Qualification/binding-register cache arms.
+    pub cache: Modes,
+    /// Port-ring arms.
+    pub queue: Modes,
+    /// Dispatch-specialization arms. Fusion rides on the cache's fast
+    /// path, so a fusion-on arm is only distinct from the plain cached
+    /// arm where the cache arm is on.
+    pub fusion: Modes,
 }
 
-impl FusionModes {
-    /// The fusion settings this mode expands to.
-    pub fn arms(self) -> &'static [bool] {
-        match self {
-            FusionModes::On => &[true],
-            FusionModes::Off => &[false],
-            FusionModes::Both => &[true, false],
+impl Default for Arms {
+    fn default() -> Self {
+        Arms {
+            cache: Modes::Both,
+            queue: Modes::On,
+            fusion: Modes::On,
         }
     }
+}
 
-    /// Parses a `--fusion` flag value.
-    pub fn parse(s: &str) -> Option<FusionModes> {
-        match s {
-            "on" => Some(FusionModes::On),
-            "off" => Some(FusionModes::Off),
-            "both" => Some(FusionModes::Both),
-            _ => None,
-        }
+impl Arms {
+    /// Every runner configuration in the product, cache outermost.
+    pub fn configs(self) -> impl Iterator<Item = RunConfig> {
+        self.cache.arms().iter().flat_map(move |&cache| {
+            self.queue.arms().iter().flat_map(move |&queue| {
+                self.fusion.arms().iter().map(move |&fusion| RunConfig {
+                    cache,
+                    queue,
+                    fusion,
+                })
+            })
+        })
     }
 }
 
@@ -597,52 +516,15 @@ impl SeedReport {
 }
 
 /// Checks one seed: generates the case, runs the reference arm, then the
-/// subject arm at every `matrix` point, comparing end states. Also
-/// round-trips every generated program through the wire codec — a failing
-/// seed must be storable as a replayable artifact.
+/// subject arm at every `matrix` point under every configuration in
+/// `arms`, comparing end states bit-for-bit. Also round-trips every
+/// generated program through the wire codec — a failing seed must be
+/// storable as a replayable artifact.
 ///
-/// Runs both cache arms (see [`check_seed_modes`]): the qualification
-/// and binding-register caches must be semantically invisible, so every
-/// matrix point is diffed bit-for-bit cache-on *and* cache-off.
-pub fn check_seed(seed: u64, matrix: &[(u32, u32)]) -> SeedReport {
-    check_seed_modes(seed, matrix, CacheModes::Both)
-}
-
-/// [`check_seed`] restricted to the given cache arms. Port rings stay
-/// in the runner's default configuration (on); use [`check_seed_full`]
-/// to diff the queue arms too.
-pub fn check_seed_modes(seed: u64, matrix: &[(u32, u32)], modes: CacheModes) -> SeedReport {
-    check_seed_full(seed, matrix, modes, QueueModes::On)
-}
-
-/// [`check_seed`] across an explicit cache × port-queue arm product:
-/// every matrix point runs once per (cache, queue) combination and each
-/// end state must be bit-identical to the deterministic reference.
-/// Dispatch specialization follows the runner default (on wherever the
-/// cache arm is on); use [`check_seed_fusion`] to diff the fusion arms
-/// explicitly.
-pub fn check_seed_full(
-    seed: u64,
-    matrix: &[(u32, u32)],
-    modes: CacheModes,
-    queues: QueueModes,
-) -> SeedReport {
-    check_seed_fusion(seed, matrix, modes, queues, FusionModes::On)
-}
-
-/// [`check_seed`] across the full cache × port-queue × fusion arm
-/// product: every matrix point runs once per combination and each end
-/// state must be bit-identical to the deterministic reference. This is
-/// the differential battery that proves superinstruction fusion and the
-/// inline caches semantically invisible — digests, counters and fault
-/// verdicts agree bit-for-bit with fusion on and off.
-pub fn check_seed_fusion(
-    seed: u64,
-    matrix: &[(u32, u32)],
-    modes: CacheModes,
-    queues: QueueModes,
-    fusions: FusionModes,
-) -> SeedReport {
+/// With every arm at [`Modes::Both`] this is the differential battery
+/// that proves the caches, the port rings, superinstruction fusion and
+/// the inline caches semantically invisible.
+pub fn check_seed(seed: u64, matrix: &[(u32, u32)], arms: Arms) -> SeedReport {
     let case = crate::gen::generate(seed);
     let mut mismatches = Vec::new();
 
@@ -672,27 +554,20 @@ pub fn check_seed_fusion(
     }
 
     for &(shards, cpus) in matrix {
-        for &cache in modes.arms() {
-            for &queue in queues.arms() {
-                for &fusion in fusions.arms() {
-                    let got = run_threaded_sys_full(&case, shards, cpus, cache, queue, fusion).1;
-                    if got != reference {
-                        mismatches.push(format!(
-                            "seed {seed}: {shards} shards x {cpus} threads (cache {}, queue {}, fusion {}) diverged \
-                             (digest {:#018x} vs {:#018x}, counter {} vs {}, states {:?} vs {:?}); replay: {}",
-                            if cache { "on" } else { "off" },
-                            if queue { "on" } else { "off" },
-                            if fusion { "on" } else { "off" },
-                            got.digest,
-                            reference.digest,
-                            got.counter,
-                            reference.counter,
-                            got.proc_states,
-                            reference.proc_states,
-                            replay_command(seed)
-                        ));
-                    }
-                }
+        for cfg in arms.configs() {
+            let got = run_threaded_sys(&case, shards, cpus, cfg).1;
+            if got != reference {
+                mismatches.push(format!(
+                    "seed {seed}: {shards} shards x {cpus} threads ({cfg}) diverged \
+                     (digest {:#018x} vs {:#018x}, counter {} vs {}, states {:?} vs {:?}); replay: {}",
+                    got.digest,
+                    reference.digest,
+                    got.counter,
+                    reference.counter,
+                    got.proc_states,
+                    reference.proc_states,
+                    replay_command(seed)
+                ));
             }
         }
     }

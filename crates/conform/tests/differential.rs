@@ -2,14 +2,15 @@
 //! test time on a 1-core host. CI's `conform` job runs the full 256-seed
 //! sweep over the {1,4,16} × {1,4,8} matrix via the `conform_fuzz` bin.
 
+use i432_arch::ProcessStatus;
 use i432_conform::{
-    check_seed, gen::generate, oracle::run_deterministic, replay_command, QUICK_MATRIX,
+    check_seed, gen::generate, oracle::run_deterministic, replay_command, Arms, QUICK_MATRIX,
 };
 
 #[test]
 fn fuzz_seeds_match_deterministic_quick() {
     for seed in 0..12 {
-        let report = check_seed(seed, QUICK_MATRIX);
+        let report = check_seed(seed, QUICK_MATRIX, Arms::default());
         assert!(
             report.passed(),
             "seed {seed} diverged:\n{}",
@@ -70,7 +71,11 @@ fn faulty_processes_report_their_faults() {
                     fault_code, 0,
                     "seed {seed} process {i} faulted unexpectedly"
                 );
-                assert_eq!(status, 6, "seed {seed} process {i} should terminate");
+                assert_eq!(
+                    status,
+                    ProcessStatus::Terminated,
+                    "seed {seed} process {i} should terminate"
+                );
             }
         }
         checked += 1;

@@ -11,7 +11,7 @@
 //! trace` and hold vacuously otherwise.
 
 use i432_arch::{ObjectSpec, PortDiscipline, Rights, SharedSpace, SpaceAccessExt};
-use i432_conform::{check_seed_full, CacheModes, QueueModes, QUICK_MATRIX};
+use i432_conform::{check_seed, Arms, Modes, QUICK_MATRIX};
 use i432_gdp::port::{self, RecvOutcome, SendOutcome};
 use i432_sim::{System, SystemConfig};
 use imax_ipc::create_port;
@@ -250,7 +250,12 @@ fn seeded_mixed_path_interleavings_conserve_messages() {
 #[test]
 fn queued_and_locked_arms_agree_with_the_reference() {
     for seed in [11u64, 42] {
-        let r = check_seed_full(seed, QUICK_MATRIX, CacheModes::On, QueueModes::Both);
+        let arms = Arms {
+            cache: Modes::On,
+            queue: Modes::Both,
+            fusion: Modes::On,
+        };
+        let r = check_seed(seed, QUICK_MATRIX, arms);
         assert!(r.passed(), "{:#?}", r.mismatches);
     }
 }

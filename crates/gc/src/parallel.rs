@@ -8,7 +8,7 @@
 //! system-wide **parallel** garbage collector"): one marking/sweeping
 //! worker per shard, running on real threads concurrently with mutator
 //! GDPs via the runner's aux-worker hook
-//! ([`i432_sim::run_threaded_aux`]).
+//! ([`i432_sim::run_threaded`]).
 //!
 //! ## Structure of a cycle
 //!
@@ -58,7 +58,7 @@ use crate::gray::GrayDeque;
 use i432_arch::{
     Color, ObjectRef, ObjectType, SharedSpace, SpaceAccess, SpaceAccessExt, SpaceMut, SystemType,
 };
-use i432_sim::{run_threaded_aux, AuxWorker, System, ThreadedOutcome};
+use i432_sim::{run_threaded, AuxWorker, RunConfig, System, ThreadedOutcome};
 use i432_trace::EventKind;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
@@ -254,7 +254,7 @@ impl ParallelGc {
         });
     }
 
-    /// The aux-worker closures for [`i432_sim::run_threaded_aux`]: each
+    /// The aux-worker closures for [`i432_sim::run_threaded`]: each
     /// runs full cycles back-to-back until the runner's `done` flag is
     /// set, always finishing the cycle in progress (the go/stop
     /// decision is taken by the barrier leader so every worker agrees).
@@ -588,10 +588,10 @@ impl ParallelGc {
 pub fn run_threaded_parallel_gc(
     sys: System,
     max_steps: u64,
-    cache: bool,
+    cfg: RunConfig,
     gc: &Arc<ParallelGc>,
 ) -> (System, ThreadedOutcome) {
-    run_threaded_aux(sys, max_steps, cache, gc.aux_workers())
+    run_threaded(sys, max_steps, cfg, gc.aux_workers())
 }
 
 #[cfg(test)]

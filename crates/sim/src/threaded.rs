@@ -16,6 +16,9 @@
 //!   it touches, so threads whose processes live in different stripes
 //!   genuinely run in parallel. This is the moral equivalent of the
 //!   432's interleaved memory buses: disjoint addresses never contend.
+//!   One [`RunConfig`] value selects its fast-path arms (caches, port
+//!   rings, fusion; all on by default), and optional [`AuxWorker`]s
+//!   (the parallel collector's markers) run beside the GDP threads.
 //! * [`run_threaded_global_lock`] — the original design, one mutex
 //!   around the whole system. Kept as the contention baseline that the
 //!   `c3_threaded` benchmark measures speedup against.
@@ -27,7 +30,7 @@
 //! checks exactly that across thread-count × shard-count combinations.
 
 use crate::system::System;
-use i432_arch::{ProcessStatus, ShardedSpace, SharedSpace, SpaceAccessExt};
+use i432_arch::{ArchResult, ProcessStatus, ShardedSpace, SharedSpace, SpaceAccessExt};
 use i432_gdp::{Env, Gdp, NullInterconnect, StepEvent};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -45,68 +48,54 @@ pub struct ThreadedOutcome {
     pub system_errors: u64,
 }
 
-/// Runs the system's processors on real threads against the lock-striped
-/// shared space until every registered process terminates or `max_steps`
-/// total steps elapse.
+/// The threaded runner's three fast-path arms. Every arm must be
+/// digest-identical to the others and to the deterministic runner — the
+/// conformance oracle diffs them bit-for-bit on every seed — so turning
+/// one off never changes a result, only which path computes it.
 ///
-/// The system is taken by value (the space moves into the shared handle)
-/// and handed back with the final state. Interconnect modeling is
-/// disabled (contention here is *real*); simulated clocks still advance,
-/// but their values are interleaving-dependent — use the deterministic
-/// runner for measurements.
-pub fn run_threaded(sys: System, max_steps: u64) -> (System, ThreadedOutcome) {
-    run_threaded_with(sys, max_steps, true)
+/// `Default` is all on: the production runner.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RunConfig {
+    /// The qualification/binding caches: every thread gets a caching
+    /// [`i432_arch::SpaceAgent`] and a GDP with its binding-register
+    /// cache on, so runs of local instructions take no shard lock at
+    /// all. Off keeps every operation on the locked path.
+    pub cache: bool,
+    /// The port-ring fast path: non-blocking sends and receives on FIFO
+    /// ports go through a lock-free per-port ring consulted before any
+    /// shard lock, falling back to the locked rendezvous path when the
+    /// ring is full, empty, frozen, or the operation might block. Off
+    /// keeps every port operation on the locked path.
+    pub queue: bool,
+    /// Dispatch specialization: the pre-decoded block cache,
+    /// superinstruction fusion on the unlocked fast path, and the
+    /// monomorphic inline caches at call/port sites. It rides on the
+    /// binding-register cache's fast path, so it is inert when `cache`
+    /// is off.
+    pub fusion: bool,
 }
 
-/// [`run_threaded`] with the qualification/binding caches made explicit.
-///
-/// `cache = true` (the default runner) gives every thread a caching
-/// [`i432_arch::SpaceAgent`] and a GDP with its binding-register cache
-/// on, so runs of local instructions take no shard lock at all.
-/// `cache = false` keeps every operation on the locked path. The two
-/// must be digest-identical — the conformance oracle diffs them
-/// bit-for-bit on every seed.
-pub fn run_threaded_with(sys: System, max_steps: u64, cache: bool) -> (System, ThreadedOutcome) {
-    run_threaded_aux(sys, max_steps, cache, Vec::new())
+impl Default for RunConfig {
+    fn default() -> Self {
+        RunConfig {
+            cache: true,
+            queue: true,
+            fusion: true,
+        }
+    }
 }
 
-/// [`run_threaded_with`] with the port-ring fast path made explicit.
-///
-/// `queue = true` (the default for every threaded entry point) enables
-/// the per-port rings: non-blocking sends and receives on FIFO ports go
-/// through a lock-free ring consulted before any shard lock, falling
-/// back to the locked rendezvous path when the ring is full, empty,
-/// frozen, or the operation might block. `queue = false` keeps every
-/// port operation on the locked path. The two must be digest-identical
-/// — the conformance oracle diffs them bit-for-bit on every seed.
-pub fn run_threaded_with_opts(
-    sys: System,
-    max_steps: u64,
-    cache: bool,
-    queue: bool,
-) -> (System, ThreadedOutcome) {
-    run_threaded_aux_opts(sys, max_steps, cache, queue, Vec::new())
-}
-
-/// [`run_threaded_with_opts`] with dispatch specialization made
-/// explicit.
-///
-/// `fusion = true` gives every GDP the pre-decoded block cache,
-/// superinstruction fusion on the unlocked fast path, and the
-/// monomorphic inline caches at call/port sites. Dispatch
-/// specialization rides on the binding-register cache's fast path, so
-/// it is inert when `cache = false`. `fusion = false` with
-/// `cache = true` is the plain caching runner. All arms must be
-/// digest-identical — the conformance oracle diffs them bit-for-bit on
-/// every seed.
-pub fn run_threaded_full(
-    sys: System,
-    max_steps: u64,
-    cache: bool,
-    queue: bool,
-    fusion: bool,
-) -> (System, ThreadedOutcome) {
-    run_threaded_full_aux(sys, max_steps, cache, queue, fusion, Vec::new())
+impl std::fmt::Display for RunConfig {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let on = |b: bool| if b { "on" } else { "off" };
+        write!(
+            f,
+            "cache {}, queue {}, fusion {}",
+            on(self.cache),
+            on(self.queue),
+            on(self.fusion)
+        )
+    }
 }
 
 /// An auxiliary worker thread run alongside the GDP threads: it gets the
@@ -117,43 +106,39 @@ pub fn run_threaded_full(
 /// nothing about what the workers do.
 pub type AuxWorker = Box<dyn for<'s> FnOnce(&'s SharedSpace, &'s AtomicBool) + Send>;
 
-/// [`run_threaded_with`] plus auxiliary worker threads (e.g. collector
-/// workers) sharing the space with the mutator GDPs. Aux workers do not
-/// count toward `max_steps` or completion; they are joined before the
-/// space is reassembled.
-pub fn run_threaded_aux(
-    sys: System,
-    max_steps: u64,
-    cache: bool,
-    aux: Vec<AuxWorker>,
-) -> (System, ThreadedOutcome) {
-    run_threaded_aux_opts(sys, max_steps, cache, true, aux)
+/// A registered process is done once it exited or faulted (nothing in
+/// either runner revives it), or is gone from the space altogether.
+fn terminal(status: ArchResult<ProcessStatus>) -> bool {
+    matches!(
+        status,
+        Ok(ProcessStatus::Terminated) | Ok(ProcessStatus::Faulted) | Err(_)
+    )
 }
 
-/// [`run_threaded_aux`] with the port-ring fast path made explicit (see
-/// [`run_threaded_with_opts`]). Dispatch specialization defaults to
-/// following the cache flag: the default threaded runner is a fused
-/// runner.
-pub fn run_threaded_aux_opts(
-    sys: System,
-    max_steps: u64,
-    cache: bool,
-    queue: bool,
-    aux: Vec<AuxWorker>,
-) -> (System, ThreadedOutcome) {
-    run_threaded_full_aux(sys, max_steps, cache, queue, cache, aux)
-}
-
-/// [`run_threaded_aux_opts`] with dispatch specialization made explicit
-/// (see [`run_threaded_full`]). The most general threaded entry point.
-pub fn run_threaded_full_aux(
+/// Runs the system's processors on real threads against the lock-striped
+/// shared space until every registered process terminates or `max_steps`
+/// total steps elapse, with the fast-path arms `cfg` selects.
+///
+/// The system is taken by value (the space moves into the shared handle)
+/// and handed back with the final state. Interconnect modeling is
+/// disabled (contention here is *real*); simulated clocks still advance,
+/// but their values are interleaving-dependent — use the deterministic
+/// runner for measurements.
+///
+/// `aux` workers (e.g. collector workers) share the space with the
+/// mutator GDPs. They do not count toward `max_steps` or completion and
+/// are joined before the space is reassembled.
+pub fn run_threaded(
     mut sys: System,
     max_steps: u64,
-    cache: bool,
-    queue: bool,
-    fusion: bool,
+    cfg: RunConfig,
     aux: Vec<AuxWorker>,
 ) -> (System, ThreadedOutcome) {
+    let RunConfig {
+        cache,
+        queue,
+        fusion,
+    } = cfg;
     // Fusion runs on the unlocked fast path, so it is inert without
     // the binding-register cache.
     let fusion = fusion && cache;
@@ -190,12 +175,7 @@ pub fn run_threaded_full_aux(
         let mut agent = shared.agent();
         processes
             .iter()
-            .filter(|p| {
-                !matches!(
-                    agent.with_process(**p, |s| s.status),
-                    Ok(ProcessStatus::Terminated) | Ok(ProcessStatus::Faulted)
-                )
-            })
+            .filter(|p| !terminal(agent.with_process(**p, |s| s.status)))
             .count()
     };
     let remaining = AtomicUsize::new(remaining0);
@@ -282,18 +262,37 @@ pub fn run_threaded_full_aux(
         }
         sys.space.port_ring_registry().set_enabled(false);
     }
-    let completed = processes.iter().all(|p| {
-        matches!(
-            sys.space.process(*p).map(|s| s.status),
-            Ok(ProcessStatus::Terminated) | Ok(ProcessStatus::Faulted) | Err(_)
-        )
-    });
+    let completed = processes
+        .iter()
+        .all(|p| terminal(sys.space.process(*p).map(|s| s.status)));
     let outcome = ThreadedOutcome {
         completed,
         steps: total_steps.load(Ordering::Acquire),
         system_errors: errors.load(Ordering::Acquire),
     };
     (sys, outcome)
+}
+
+/// [`run_threaded`] with the arms as positional flags and no aux
+/// workers. Kept only because `perfbench/`, the frozen benchmark crate,
+/// calls it and must not be edited; new code calls [`run_threaded`].
+pub fn run_threaded_full(
+    sys: System,
+    max_steps: u64,
+    cache: bool,
+    queue: bool,
+    fusion: bool,
+) -> (System, ThreadedOutcome) {
+    run_threaded(
+        sys,
+        max_steps,
+        RunConfig {
+            cache,
+            queue,
+            fusion,
+        },
+        Vec::new(),
+    )
 }
 
 /// The original threaded runner: one mutex around the whole system, every
@@ -351,12 +350,9 @@ pub fn run_threaded_global_lock(sys: System, max_steps: u64) -> (System, Threade
                     StepEvent::ProcessExited(_) | StepEvent::ProcessFaulted { .. } => {
                         // Check for global completion.
                         let sys = shared.lock();
-                        let all_done = processes.iter().all(|p| {
-                            matches!(
-                                sys.space.process(*p).map(|s| s.status),
-                                Ok(ProcessStatus::Terminated) | Ok(ProcessStatus::Faulted) | Err(_)
-                            )
-                        });
+                        let all_done = processes
+                            .iter()
+                            .all(|p| terminal(sys.space.process(*p).map(|s| s.status)));
                         if all_done {
                             done.store(true, Ordering::Release);
                             return;
@@ -374,12 +370,9 @@ pub fn run_threaded_global_lock(sys: System, max_steps: u64) -> (System, Threade
     let sys = Arc::try_unwrap(shared)
         .unwrap_or_else(|_| panic!("all threads joined; lock cannot be shared"))
         .into_inner();
-    let completed = processes.iter().all(|p| {
-        matches!(
-            sys.space.process(*p).map(|s| s.status),
-            Ok(ProcessStatus::Terminated) | Ok(ProcessStatus::Faulted) | Err(_)
-        )
-    });
+    let completed = processes
+        .iter()
+        .all(|p| terminal(sys.space.process(*p).map(|s| s.status)));
     let outcome = ThreadedOutcome {
         completed,
         steps: total_steps.load(Ordering::Acquire),
@@ -423,37 +416,20 @@ mod tests {
     }
 
     #[test]
-    fn threaded_run_completes_simple_batch() {
-        let sys = batch_system(4, 4, 8);
-        let (sys, outcome) = run_threaded(sys, 10_000_000);
-        assert!(outcome.completed, "{outcome:?}");
-        assert_eq!(outcome.system_errors, 0);
-        for p in sys.processes() {
-            assert_eq!(sys.space.process(*p).unwrap().fault_code, 0);
-        }
-    }
-
-    #[test]
-    fn threaded_run_completes_with_fusion_off() {
-        // The default runner is fused; the cache-only arm must complete
-        // the same workload.
-        let sys = batch_system(4, 4, 8);
-        let (sys, outcome) = run_threaded_full(sys, 10_000_000, true, true, false);
-        assert!(outcome.completed, "{outcome:?}");
-        assert_eq!(outcome.system_errors, 0);
-        for p in sys.processes() {
-            assert_eq!(sys.space.process(*p).unwrap().fault_code, 0);
-        }
-    }
-
-    #[test]
-    fn threaded_run_completes_with_caches_off() {
-        let sys = batch_system(4, 4, 8);
-        let (sys, outcome) = run_threaded_with(sys, 10_000_000, false);
-        assert!(outcome.completed, "{outcome:?}");
-        assert_eq!(outcome.system_errors, 0);
-        for p in sys.processes() {
-            assert_eq!(sys.space.process(*p).unwrap().fault_code, 0);
+    fn threaded_run_completes_under_every_config() {
+        for bits in 0..8u8 {
+            let cfg = RunConfig {
+                cache: bits & 1 != 0,
+                queue: bits & 2 != 0,
+                fusion: bits & 4 != 0,
+            };
+            let sys = batch_system(4, 4, 8);
+            let (sys, outcome) = run_threaded(sys, 10_000_000, cfg, Vec::new());
+            assert!(outcome.completed, "{cfg}: {outcome:?}");
+            assert_eq!(outcome.system_errors, 0, "{cfg}");
+            for p in sys.processes() {
+                assert_eq!(sys.space.process(*p).unwrap().fault_code, 0, "{cfg}");
+            }
         }
     }
 

@@ -8,7 +8,7 @@ use imax::arch::{PortDiscipline, Rights};
 use imax::gdp::isa::{AluOp, DataDst, DataRef};
 use imax::gdp::ProgramBuilder;
 use imax::ipc::create_port;
-use imax::sim::{run_threaded, System, SystemConfig};
+use imax::sim::{run_threaded, RunConfig, System, SystemConfig};
 
 /// Builds the token-mutex increment workload (the same one the
 /// deterministic test uses): two processes bump a shared counter 25
@@ -91,7 +91,7 @@ fn build_mutex_workload(cpus: u32, shards: u32) -> (System, imax::arch::AccessDe
 fn threaded_mutex_has_no_lost_updates() {
     for cpus in [2u32, 4] {
         let (sys, shared_ad, expect) = build_mutex_workload(cpus, 1);
-        let (sys, outcome) = run_threaded(sys, 50_000_000);
+        let (sys, outcome) = run_threaded(sys, 50_000_000, RunConfig::default(), Vec::new());
         assert!(outcome.completed, "{cpus} cpus: {outcome:?}");
         assert_eq!(outcome.system_errors, 0);
         let mut space = sys.space;
@@ -113,7 +113,7 @@ fn threaded_matches_deterministic_logical_result() {
 
     // Threaded arm (fresh system, same construction).
     let (sys, thr_shared, _) = build_mutex_workload(2, 1);
-    let (sys, thr_outcome) = run_threaded(sys, 50_000_000);
+    let (sys, thr_outcome) = run_threaded(sys, 50_000_000, RunConfig::default(), Vec::new());
     assert!(thr_outcome.completed);
     let mut space = sys.space;
     let thr_value = space.read_u64(thr_shared, 0).unwrap();
@@ -147,7 +147,7 @@ fn threaded_allocation_churn_is_safe() {
     for _ in 0..6 {
         sys.spawn(dom, 0, None);
     }
-    let (sys, outcome) = run_threaded(sys, 50_000_000);
+    let (sys, outcome) = run_threaded(sys, 50_000_000, RunConfig::default(), Vec::new());
     assert!(outcome.completed, "{outcome:?}");
     assert_eq!(outcome.system_errors, 0);
     for p in sys.processes() {
@@ -174,7 +174,7 @@ fn thread_shard_matrix_matches_deterministic() {
     for cpus in [1u32, 4, 8] {
         for shards in [1u32, 4, 16] {
             let (sys, shared_ad, _) = build_mutex_workload(cpus, shards);
-            let (sys, outcome) = run_threaded(sys, 50_000_000);
+            let (sys, outcome) = run_threaded(sys, 50_000_000, RunConfig::default(), Vec::new());
             assert!(
                 outcome.completed,
                 "{cpus} threads x {shards} shards: {outcome:?}"
