@@ -155,6 +155,21 @@ impl PortRing {
         Self::with_start(port, capacity, port_level, 0)
     }
 
+    /// A ring that shadows no port and is never registered in a
+    /// [`PortRingRegistry`], born **open**: a device's submission ring
+    /// (`imax_io::virtio`). No locked path or collector ever reaches it,
+    /// so there is no message area to stay coherent with; any freeze,
+    /// drain or retire is its owner's alone.
+    pub fn unregistered(capacity: u32) -> PortRing {
+        let none = ObjectRef {
+            index: crate::refs::ObjectIndex(u32::MAX),
+            generation: 0,
+        };
+        let ring = Self::new(none, capacity, Level::GLOBAL);
+        ring.reopen();
+        ring
+    }
+
     /// Test hook: a frozen ring whose positions start at `start`
     /// (mod 2^63) — used to exercise head/tail wraparound.
     pub fn with_start(port: ObjectRef, capacity: u32, port_level: Level, start: u64) -> PortRing {
@@ -324,6 +339,14 @@ impl PortRing {
     /// a claim that beat the freeze is a handful of relaxed stores from
     /// its sequence release.
     ///
+    /// **Precondition:** the ring's owner serializes every
+    /// `freeze_and_drain`, [`PortRing::reopen`] and [`PortRing::retire`]
+    /// call — the port's shard locks for a port ring, the native's
+    /// all-shard section for a device ring. Two unserialized drains read
+    /// the same `[head, tail)` window; the first recycles its slots and
+    /// the second spins forever on a sequence that never returns. Only
+    /// `push`/`pop` may race these calls.
+    ///
     /// Returns the number of entries drained.
     pub fn freeze_and_drain(&self, mut f: impl FnMut(RingEntry)) -> u64 {
         let t = self.tail.fetch_or(LOCK, Ordering::AcqRel) & POS_MASK;
@@ -361,7 +384,8 @@ impl PortRing {
 
     /// Re-opens a frozen, drained ring. The caller (the locked path,
     /// under the shard locks) asserts the FAST-mode invariant: message
-    /// area empty, no waiters, port alive.
+    /// area empty, no waiters, port alive. Serialized with drains and
+    /// retirement by the owner (see [`PortRing::freeze_and_drain`]).
     pub fn reopen(&self) {
         if self.dead.load(Ordering::Acquire) {
             return;
@@ -378,6 +402,8 @@ impl PortRing {
 
     /// Marks the ring dead (owning port destroyed): freezes it, discards
     /// any queued entries, and prevents all future reopens. Idempotent.
+    /// Serialized with drains and reopens by the owner (see
+    /// [`PortRing::freeze_and_drain`]).
     pub fn retire(&self) {
         self.dead.store(true, Ordering::Release);
         self.freeze_and_drain(|_| {});

@@ -716,7 +716,7 @@ impl SpaceMut for ShardedSpace {
 ///   agents cannot deadlock.
 /// * The one sanctioned *lock-free* access is the agent's
 ///   qualification-cache fast path: it reads and writes **data-arena
-///   bytes only**, through the per-shard [`ArenaView`] captured at
+///   bytes only**, through the per-shard `ArenaView` captured at
 ///   construction, and every byte of every data arena is a relaxed
 ///   [`AtomicU8`] on both the locked and lock-free paths (see
 ///   [`DataArena`]), so racing accesses are never data races in the

@@ -212,8 +212,8 @@ pub trait SpaceAccess {
 
     /// The per-space port-ring registry backing the lock-free SEND/RECEIVE
     /// fast path, when this space has one. The default — and the unsharded
-    /// [`ObjectSpace`](crate::space::ObjectSpace) — has none, so the
-    /// deterministic runner always takes the locked rendezvous path.
+    /// [`ObjectSpace`] — has none, so the deterministic runner always
+    /// takes the locked rendezvous path.
     fn port_rings(&self) -> Option<&std::sync::Arc<crate::portring::PortRingRegistry>> {
         None
     }

@@ -1,14 +1,13 @@
 //! The object-filing wire protocol.
 //!
-//! A filing request is an ordinary generic object, exactly like an I/O
-//! request ([`imax_io::iop`]) or a virtio descriptor payload
-//! ([`imax_io::virtio`]): the data part carries the operation and its
-//! parameters, access slot 0 carries the reply port. The client keeps a
-//! capability for the request object; the server writes status, count
-//! and (for READ) data back into the *same* object and sends it to the
-//! reply port — the request/reply pair is one object changing hands, so
-//! a round trip allocates exactly one segment and that segment becomes
-//! garbage the moment the client drops it.
+//! A filing request is an ordinary generic object, exactly like a device
+//! request descriptor ([`imax_io::virtio`]): the data part carries the
+//! operation and its parameters, access slot 0 carries the reply port.
+//! The client keeps a capability for the request object; the server
+//! writes status, count and (for READ) data back into the *same* object
+//! and sends it to the reply port — the request/reply pair is one object
+//! changing hands, so a round trip allocates exactly one segment and
+//! that segment becomes garbage the moment the client drops it.
 
 /// Offset of the operation code ([`FOP_OPEN`] …) in a request object.
 pub const FREQ_OP_OFF: u32 = 0;

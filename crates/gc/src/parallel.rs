@@ -42,7 +42,7 @@
 //!    qualification cache, so no epoch bump — see
 //!    [`i432_arch::SharedSpace::with_shard_gc`]); white garbage is
 //!    reclaimed through the shared
-//!    [`crate::collector::reclaim_or_finalize`] under an atomic
+//!    `collector::reclaim_or_finalize` under an atomic
 //!    section, so destruction filters (paper §8.2) run concurrently
 //!    with mutators and cross-shard bookkeeping (SRO charge, TDO
 //!    counts, filter-port delivery) is exact.

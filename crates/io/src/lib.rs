@@ -26,6 +26,10 @@
 //!   of the same specification; [`tape`] adds the paper's §8.2 example —
 //!   a drive pool managed by a type manager with a destruction filter, so
 //!   lost drives are recovered rather than leaked.
+//! * [`virtio`] is the one asynchronous path: a device behind a lock-free
+//!   descriptor ring whose completions arrive as port messages. Its
+//!   [`IoSubsystem`] puts family devices behind request ports on that
+//!   same path (paper §3's "multiple independent I/O subsystems").
 
 #![warn(missing_docs)]
 
@@ -33,7 +37,6 @@ pub mod console;
 pub mod disk;
 pub mod family;
 pub mod iface;
-pub mod iop;
 pub mod tape;
 pub mod virtio;
 
@@ -44,9 +47,7 @@ pub use iface::{
     install_device, DeviceError, DeviceHandle, DeviceImpl, DeviceStatus, OP_CLOSE, OP_CONTROL_BASE,
     OP_OPEN, OP_READ, OP_STATUS, OP_WRITE,
 };
-pub use iop::{AsyncDevice, IoSubsystem, IopStats};
 pub use tape::{TapeDrive, TapePool};
 pub use virtio::{
-    QueueRefusal, VirtQueue, VirtioBlock, VirtioDevice, VirtioKind, VirtioModel, VirtioNet,
-    VirtioStats,
+    IoSubsystem, VirtioBlock, VirtioDevice, VirtioKind, VirtioModel, VirtioNet, VirtioStats,
 };

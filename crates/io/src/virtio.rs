@@ -1,29 +1,37 @@
-//! Virtio-shaped asynchronous block and net device models.
+//! Asynchronous devices: virtio-shaped block and net models, and the
+//! I/O subsystems that put family devices behind request ports.
 //!
 //! The synchronous family ([`crate::iface`]) makes every device call a
-//! domain CALL; [`crate::iop`] makes it a port rendezvous. Both leave
-//! the device strictly *behind* the kernel's locked paths. This module
-//! adds the third shape — the one every modern paravirtual device uses
-//! and the one Norost-b's `virtio_blk`/`virtio_net` drivers are built
-//! on: a **per-device descriptor ring** that producers publish request
-//! descriptors into without a lock, a **submission/completion split**
-//! (submitting never waits for the device), and **completion-interrupt
-//! delivery** — the device posts the finished request object to the
-//! reply port named inside the request, so a client (or a
-//! `TypedPort`-wrapped receiver) picks completions up through the
-//! ordinary port machinery.
+//! domain CALL, which leaves the device strictly *behind* the kernel's
+//! locked paths. This module is the one asynchronous path — the shape
+//! every modern paravirtual device uses and the one Norost-b's
+//! `virtio_blk`/`virtio_net` drivers are built on: a **per-device
+//! descriptor ring** that producers publish request descriptors into
+//! without a lock, a **submission/completion split** (submitting never
+//! waits for the device), and **completion-interrupt delivery** — the
+//! device posts the finished request object to the reply port named
+//! inside the request, so a client (or a `TypedPort`-wrapped receiver)
+//! picks completions up through the ordinary port machinery.
+//!
+//! Family devices ride the same path. Paper §3: "Multiple independent
+//! I/O subsystems provide a similar expansion for the I/O bandwidth of a
+//! single system." An [`IoSubsystem`] gives each attached
+//! [`DeviceImpl`] a request port; its service pass submits the port's
+//! pending requests into a [`VirtioDevice`] wrapping the device, so a
+//! family request is a virtio descriptor (`VREQ_*` layout, family
+//! `OP_*` codes in the op field, a control argument in the LBA field)
+//! and clients overlap computation with I/O with no new concepts.
 //!
 //! ## The descriptor ring
 //!
-//! [`VirtQueue`] reuses the slot/sequence discipline of
-//! [`i432_arch::portring::PortRing`] verbatim: per-slot sequence
-//! numbers distinguish free/published/consumed without compare-swapping
-//! payloads, head/tail carry a freeze bit (bit 63) so the queue can be
-//! frozen, drained oldest-first, and retired exactly like a port ring,
-//! and all position arithmetic wraps mod 2^63. What differs is only
-//! ownership: a `PortRing` shadows a port's message area and must stay
-//! coherent with the locked rendezvous path; a `VirtQueue` *is* the
-//! device's submission area, so it is born open.
+//! A device's submission ring is an [`i432_arch::portring::PortRing`]
+//! that shadows no port and is never registered, built open by
+//! [`PortRing::unregistered`]: producers claim slots with the same
+//! slot/sequence discipline as a port's fast path, and a refusal
+//! (full, contended) falls back to the locked backlog exactly as a
+//! ring-refused port send falls back to the rendezvous path. The device
+//! only ever pushes and pops, so the ring's owner-serialized
+//! freeze/drain/retire calls never arise.
 //!
 //! ## Determinism
 //!
@@ -38,23 +46,26 @@
 //!
 //! ## Collector visibility
 //!
-//! The parallel collector scans port rings for in-flight messages but
-//! knows nothing of virtqueues. The rule that keeps requests reachable
-//! is a drain discipline, not a scan: a service routine that submits
-//! into the queue must drain it to empty before its atomic section
-//! ends ([`VirtioDevice::service`] + [`VirtioDevice::assert_idle`]).
-//! Native calls hold every shard lock, so a collector can never observe
-//! a nonempty queue. DESIGN.md §14 spells the argument out.
+//! The parallel collector scans registered port rings for in-flight
+//! messages but knows nothing of device rings. The rule that keeps
+//! requests reachable is a drain discipline, not a scan: a service
+//! routine that submits into the queue must drain it to empty before
+//! its atomic section ends ([`VirtioDevice::service`] +
+//! [`VirtioDevice::assert_idle`]). Native calls hold every shard lock,
+//! so a collector can never observe a nonempty queue. DESIGN.md §14
+//! spells the argument out.
 
-use crate::iface::{DeviceError, DeviceImpl, DeviceStatus};
-use i432_arch::{AccessDescriptor, ObjectIndex, ObjectRef, Rights, SpaceMut};
+use crate::iface::{DeviceImpl, OP_CLOSE, OP_CONTROL_BASE, OP_OPEN, OP_READ, OP_STATUS, OP_WRITE};
+use i432_arch::portring::{PortRing, RingEntry};
+use i432_arch::{AccessDescriptor, ObjectRef, PortDiscipline, Rights, SpaceMut};
 use i432_gdp::{
-    port::{self, SendOutcome},
+    port::{self, RecvOutcome, SendOutcome},
     Fault, FaultKind,
 };
+use imax_ipc::Port;
 use parking_lot::Mutex;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 // ---------------------------------------------------------------------
@@ -64,7 +75,8 @@ use std::sync::Arc;
 
 /// Offset of the operation code in a virtio request object.
 pub const VREQ_OP_OFF: u32 = 0;
-/// Offset of the absolute block address (block requests).
+/// Offset of the absolute block address (block requests) or the control
+/// argument (family requests).
 pub const VREQ_LBA_OFF: u32 = 8;
 /// Offset of the transfer length in bytes.
 pub const VREQ_LEN_OFF: u32 = 16;
@@ -96,255 +108,6 @@ pub const VIRTIO_S_IOERR: u64 = 1;
 pub const VIRTIO_S_UNSUPP: u64 = 2;
 
 // ---------------------------------------------------------------------
-// VirtQueue — the descriptor ring.
-// ---------------------------------------------------------------------
-
-const LOCK: u64 = 1 << 63;
-const POS_MASK: u64 = LOCK - 1;
-
-#[inline]
-fn wadd(pos: u64, n: u64) -> u64 {
-    pos.wrapping_add(n) & POS_MASK
-}
-
-#[inline]
-fn wsub(a: u64, b: u64) -> u64 {
-    a.wrapping_sub(b) & POS_MASK
-}
-
-/// Bounded CAS retries before a fast op reports contention.
-const CLAIM_RETRIES: u32 = 8;
-
-/// Why a fast virtqueue operation refused.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum QueueRefusal {
-    /// The queue is frozen or retired.
-    Locked,
-    /// Push: the queue holds `capacity` descriptors.
-    Full,
-    /// Pop: no published descriptor at the head.
-    Empty,
-    /// A concurrent claim won the race repeatedly.
-    Contended,
-}
-
-#[repr(align(64))]
-struct Slot {
-    seq: AtomicU64,
-    obj: AtomicU64,
-    rights: AtomicU64,
-}
-
-/// A lock-free MPMC descriptor ring owned by one device.
-///
-/// Same discipline as [`i432_arch::portring::PortRing`]: slot `i`
-/// carries `seq == pos` when free for position `pos`, `pos + 1` when
-/// published, and `pos + nslots` after consumption recycles it for the
-/// next lap. Head/tail carry the freeze bit in bit 63.
-pub struct VirtQueue {
-    capacity: u32,
-    slots: Box<[Slot]>,
-    head: AtomicU64,
-    tail: AtomicU64,
-    /// Set when the owning device was torn down: the queue never
-    /// reopens.
-    dead: AtomicBool,
-}
-
-impl std::fmt::Debug for VirtQueue {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("VirtQueue")
-            .field("capacity", &self.capacity)
-            .field("head", &self.head.load(Ordering::Relaxed))
-            .field("tail", &self.tail.load(Ordering::Relaxed))
-            .finish()
-    }
-}
-
-impl VirtQueue {
-    /// An open queue of `capacity` descriptors.
-    pub fn new(capacity: u32) -> VirtQueue {
-        Self::with_start(capacity, 0)
-    }
-
-    /// Test hook: a queue whose positions start at `start` (mod 2^63),
-    /// to exercise head/tail wraparound.
-    pub fn with_start(capacity: u32, start: u64) -> VirtQueue {
-        let nslots = capacity.max(1).next_power_of_two() as usize;
-        let start = start & POS_MASK;
-        let mut seqs = vec![0u64; nslots];
-        for i in 0..nslots {
-            let pos = wadd(start, i as u64);
-            seqs[(pos as usize) & (nslots - 1)] = pos;
-        }
-        let slots: Box<[Slot]> = seqs
-            .into_iter()
-            .map(|seq| Slot {
-                seq: AtomicU64::new(seq),
-                obj: AtomicU64::new(0),
-                rights: AtomicU64::new(0),
-            })
-            .collect();
-        VirtQueue {
-            capacity: capacity.max(1),
-            slots,
-            head: AtomicU64::new(start),
-            tail: AtomicU64::new(start),
-            dead: AtomicBool::new(false),
-        }
-    }
-
-    /// The queue's logical capacity.
-    #[inline]
-    pub fn capacity(&self) -> u32 {
-        self.capacity
-    }
-
-    /// True when the owning device retired the queue.
-    #[inline]
-    pub fn is_dead(&self) -> bool {
-        self.dead.load(Ordering::Acquire)
-    }
-
-    #[inline]
-    fn slot(&self, pos: u64) -> &Slot {
-        &self.slots[(pos as usize) & (self.slots.len() - 1)]
-    }
-
-    /// Published descriptors currently in the queue (racy snapshot).
-    pub fn occupancy(&self) -> u64 {
-        let t = self.tail.load(Ordering::Acquire) & POS_MASK;
-        let h = self.head.load(Ordering::Acquire) & POS_MASK;
-        wsub(t, h).min(self.capacity as u64)
-    }
-
-    /// Fast-path submit: claim the tail slot and publish `req`.
-    pub fn push(&self, req: AccessDescriptor) -> Result<(), QueueRefusal> {
-        for _ in 0..CLAIM_RETRIES {
-            let t = self.tail.load(Ordering::Acquire);
-            if t & LOCK != 0 {
-                return Err(QueueRefusal::Locked);
-            }
-            let h = self.head.load(Ordering::Acquire);
-            if h & LOCK != 0 {
-                return Err(QueueRefusal::Locked);
-            }
-            if wsub(t, h) >= self.capacity as u64 {
-                return Err(QueueRefusal::Full);
-            }
-            let slot = self.slot(t);
-            if slot.seq.load(Ordering::Acquire) != t {
-                continue;
-            }
-            if self
-                .tail
-                .compare_exchange_weak(t, wadd(t, 1), Ordering::AcqRel, Ordering::Relaxed)
-                .is_err()
-            {
-                continue;
-            }
-            let obj = (u64::from(req.obj.generation) << 32) | u64::from(req.obj.index.0);
-            slot.obj.store(obj, Ordering::Relaxed);
-            slot.rights
-                .store(u64::from(req.rights.bits()), Ordering::Relaxed);
-            slot.seq.store(wadd(t, 1), Ordering::Release);
-            return Ok(());
-        }
-        Err(QueueRefusal::Contended)
-    }
-
-    /// Fast-path claim of the oldest published descriptor.
-    pub fn pop(&self) -> Result<AccessDescriptor, QueueRefusal> {
-        for _ in 0..CLAIM_RETRIES {
-            let h = self.head.load(Ordering::Acquire);
-            if h & LOCK != 0 {
-                return Err(QueueRefusal::Locked);
-            }
-            let slot = self.slot(h);
-            if slot.seq.load(Ordering::Acquire) != wadd(h, 1) {
-                return Err(QueueRefusal::Empty);
-            }
-            if self
-                .head
-                .compare_exchange_weak(h, wadd(h, 1), Ordering::AcqRel, Ordering::Relaxed)
-                .is_err()
-            {
-                continue;
-            }
-            let req = Self::read_slot(slot);
-            slot.seq
-                .store(wadd(h, self.slots.len() as u64), Ordering::Release);
-            return Ok(req);
-        }
-        Err(QueueRefusal::Contended)
-    }
-
-    fn read_slot(slot: &Slot) -> AccessDescriptor {
-        let obj = slot.obj.load(Ordering::Relaxed);
-        let rights = slot.rights.load(Ordering::Relaxed);
-        AccessDescriptor {
-            obj: ObjectRef {
-                index: ObjectIndex(obj as u32),
-                generation: (obj >> 32) as u32,
-            },
-            rights: Rights::from_bits(rights as u8),
-        }
-    }
-
-    /// Freezes the queue (tail first, so no new claim set can form) and
-    /// hands every frozen descriptor, oldest first, to `f`. Spins out
-    /// in-flight publishers. Returns the number drained.
-    pub fn freeze_and_drain(&self, mut f: impl FnMut(AccessDescriptor)) -> u64 {
-        let t = self.tail.fetch_or(LOCK, Ordering::AcqRel) & POS_MASK;
-        let h = self.head.fetch_or(LOCK, Ordering::AcqRel) & POS_MASK;
-        let n = wsub(t, h);
-        let mut pos = h;
-        for _ in 0..n {
-            let slot = self.slot(pos);
-            while slot.seq.load(Ordering::Acquire) != wadd(pos, 1) {
-                std::hint::spin_loop();
-            }
-            let req = Self::read_slot(slot);
-            slot.seq
-                .store(wadd(pos, self.slots.len() as u64), Ordering::Release);
-            f(req);
-            pos = wadd(pos, 1);
-        }
-        self.head.store(t | LOCK, Ordering::Release);
-        n
-    }
-
-    /// True when the queue is currently frozen.
-    pub fn is_frozen(&self) -> bool {
-        self.tail.load(Ordering::Acquire) & LOCK != 0
-    }
-
-    /// Re-opens a frozen, drained queue. No-op once retired.
-    pub fn reopen(&self) {
-        if self.dead.load(Ordering::Acquire) {
-            return;
-        }
-        let t = self.tail.load(Ordering::Acquire) & POS_MASK;
-        debug_assert_eq!(
-            self.head.load(Ordering::Acquire) & POS_MASK,
-            t,
-            "reopen requires a drained queue"
-        );
-        self.tail.store(t, Ordering::Release);
-        self.head.store(t, Ordering::Release);
-    }
-
-    /// Retires the queue (device torn down): freezes it, hands any
-    /// queued descriptors to `f` so the caller can fail them cleanly,
-    /// and prevents all future reopens. Idempotent; a descriptor is
-    /// handed out exactly once across every concurrent drain/retire.
-    pub fn retire(&self, f: impl FnMut(AccessDescriptor)) -> u64 {
-        self.dead.store(true, Ordering::Release);
-        self.freeze_and_drain(f)
-    }
-}
-
-// ---------------------------------------------------------------------
 // Device models.
 // ---------------------------------------------------------------------
 
@@ -356,12 +119,14 @@ pub enum VirtioKind {
     Block,
     /// Network (frame-addressed).
     Net,
+    /// A family device behind an [`IoSubsystem`] (bumps no counter).
+    Family,
 }
 
 /// A device model a [`VirtioDevice`] drives: executes one request
 /// descriptor and prices it deterministically.
 pub trait VirtioModel: Send {
-    /// Block or net (selects trace counters).
+    /// Block, net or family (selects trace counters).
     fn kind(&self) -> VirtioKind;
 
     /// Executes one operation in place on `data`. Returns the result
@@ -382,27 +147,26 @@ pub trait VirtioModel: Send {
 #[derive(Debug)]
 pub struct VirtioBlock {
     name: String,
-    open: bool,
     block_size: usize,
     blocks: Vec<Vec<u8>>,
     flushes: u64,
-    /// Cursor for the synchronous [`DeviceImpl`] view only; the async
-    /// path never touches it.
-    position: usize,
 }
 
 impl VirtioBlock {
-    /// A device of `blocks` blocks of `block_size` bytes, born open
-    /// (virtio devices negotiate at attach, not per-request).
+    /// A device of `blocks` blocks of `block_size` bytes (virtio devices
+    /// negotiate at attach, not per-request, so there is no open/close).
     pub fn new(name: impl Into<String>, blocks: usize, block_size: usize) -> VirtioBlock {
         VirtioBlock {
             name: name.into(),
-            open: true,
             block_size,
             blocks: vec![vec![0; block_size]; blocks],
             flushes: 0,
-            position: 0,
         }
+    }
+
+    /// The device name.
+    pub fn name(&self) -> &str {
+        &self.name
     }
 
     /// The device geometry.
@@ -441,9 +205,6 @@ impl VirtioModel for VirtioBlock {
     }
 
     fn execute(&mut self, op: u64, lba: u64, data: &mut [u8]) -> Result<u64, u64> {
-        if !self.open {
-            return Err(VIRTIO_S_IOERR);
-        }
         match op {
             VIRTIO_OP_READ => self.read_at(lba, data),
             VIRTIO_OP_WRITE => self.write_at(lba, data),
@@ -462,83 +223,6 @@ impl VirtioModel for VirtioBlock {
             VIRTIO_OP_FLUSH => 300,
             _ => 10,
         }
-    }
-}
-
-/// The synchronous family view: `VirtioBlock` also satisfies the
-/// device-independent specification (paper §6.3 — any implementation
-/// behaves identically through the common subset), with the block-class
-/// seek/count control ops of [`crate::disk`].
-impl DeviceImpl for VirtioBlock {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn open(&mut self) -> Result<(), DeviceError> {
-        if self.open {
-            return Err(DeviceError::AlreadyOpen);
-        }
-        self.open = true;
-        Ok(())
-    }
-
-    fn close(&mut self) -> Result<(), DeviceError> {
-        if !self.open {
-            return Err(DeviceError::NotOpen);
-        }
-        self.open = false;
-        Ok(())
-    }
-
-    fn read(&mut self, buf: &mut [u8]) -> Result<usize, DeviceError> {
-        if !self.open {
-            return Err(DeviceError::NotOpen);
-        }
-        let lba = self.position as u64;
-        let n = self
-            .read_at(lba, buf)
-            .map_err(|_| DeviceError::EndOfMedium)?;
-        self.position += 1;
-        Ok(n as usize)
-    }
-
-    fn write(&mut self, buf: &[u8]) -> Result<usize, DeviceError> {
-        if !self.open {
-            return Err(DeviceError::NotOpen);
-        }
-        let lba = self.position as u64;
-        let n = self
-            .write_at(lba, buf)
-            .map_err(|_| DeviceError::EndOfMedium)?;
-        self.position += 1;
-        Ok(n as usize)
-    }
-
-    fn status(&self) -> DeviceStatus {
-        DeviceStatus {
-            ready: true,
-            open: self.open,
-            error: 0,
-            position: self.position as u64,
-        }
-    }
-
-    fn control(&mut self, op: u32, arg: u64) -> Result<u64, DeviceError> {
-        match op {
-            crate::disk::BLK_OP_SEEK => {
-                if arg as usize >= self.blocks.len() {
-                    return Err(DeviceError::EndOfMedium);
-                }
-                self.position = arg as usize;
-                Ok(arg)
-            }
-            crate::disk::BLK_OP_COUNT => Ok(self.blocks.len() as u64),
-            _ => Err(DeviceError::Unsupported),
-        }
-    }
-
-    fn control_ops(&self) -> u32 {
-        2
     }
 }
 
@@ -602,8 +286,46 @@ impl VirtioModel for VirtioNet {
     }
 }
 
+/// A family device as the I/O subsystems hold it.
+type FamilyDevice = Arc<Mutex<dyn DeviceImpl>>;
+
+/// Any device-independent implementation (paper §6.3) as a virtio
+/// model: the op field holds a family `OP_*` code, a control op takes
+/// its argument from the LBA field, and a transfer is priced by its
+/// requested `len` so the charge is a function of the request alone.
+/// Any device error completes with [`VIRTIO_S_IOERR`].
+impl VirtioModel for FamilyDevice {
+    fn kind(&self) -> VirtioKind {
+        VirtioKind::Family
+    }
+
+    fn execute(&mut self, op: u64, lba: u64, data: &mut [u8]) -> Result<u64, u64> {
+        let mut dev = self.lock();
+        let result = match u32::try_from(op) {
+            Ok(OP_OPEN) => dev.open().map(|()| 0),
+            Ok(OP_CLOSE) => dev.close().map(|()| 0),
+            Ok(OP_STATUS) => Ok(dev.status().pack()),
+            Ok(OP_READ) => dev.read(data).map(|n| n as u64),
+            Ok(OP_WRITE) => dev.write(data).map(|n| n as u64),
+            Ok(op) if op >= OP_CONTROL_BASE => dev.control(op - OP_CONTROL_BASE, lba),
+            _ => return Err(VIRTIO_S_UNSUPP),
+        };
+        result.map_err(|_| VIRTIO_S_IOERR)
+    }
+
+    fn cost(&self, op: u64, len: u64) -> u64 {
+        match u32::try_from(op) {
+            Ok(OP_OPEN | OP_CLOSE) => 40,
+            Ok(OP_STATUS) => 20,
+            Ok(OP_READ | OP_WRITE) => 60 + len * self.lock().cycles_per_byte(),
+            Ok(op) if op >= OP_CONTROL_BASE => 50,
+            _ => 10,
+        }
+    }
+}
+
 // ---------------------------------------------------------------------
-// The async device: submission/completion split over a VirtQueue.
+// The async device: submission/completion split over a PortRing.
 // ---------------------------------------------------------------------
 
 /// Counters for one virtio device.
@@ -621,15 +343,15 @@ pub struct VirtioStats {
     pub device_cycles: u64,
 }
 
-/// An asynchronous virtio device: a [`VirtQueue`] submission ring with
-/// a locked backlog fallback, a [`VirtioModel`] executing requests, and
+/// An asynchronous virtio device: a [`PortRing`] submission ring with a
+/// locked backlog fallback, a [`VirtioModel`] executing requests, and
 /// completion delivery to the reply port each request names.
 pub struct VirtioDevice<M: VirtioModel> {
     model: Arc<Mutex<M>>,
-    queue: Arc<VirtQueue>,
+    queue: PortRing,
     /// The locked submission path: taken when the ring refuses (full,
-    /// contended, frozen) or when ring submission is disabled — the
-    /// device-queue off arm of the conform differential.
+    /// contended) or when ring submission is disabled — the device-queue
+    /// off arm of the conform differential.
     backlog: Mutex<VecDeque<AccessDescriptor>>,
     use_queue: bool,
     kind: VirtioKind,
@@ -648,7 +370,7 @@ impl<M: VirtioModel> VirtioDevice<M> {
         let kind = model.kind();
         VirtioDevice {
             model: Arc::new(Mutex::new(model)),
-            queue: Arc::new(VirtQueue::new(queue_depth)),
+            queue: PortRing::unregistered(queue_depth),
             backlog: Mutex::new(VecDeque::new()),
             use_queue,
             kind,
@@ -660,19 +382,9 @@ impl<M: VirtioModel> VirtioDevice<M> {
         }
     }
 
-    /// The device's submission ring (tests and the GC drain assertion).
-    pub fn queue(&self) -> &Arc<VirtQueue> {
-        &self.queue
-    }
-
     /// The underlying model.
     pub fn model(&self) -> &Arc<Mutex<M>> {
         &self.model
-    }
-
-    /// Whether ring submission is enabled.
-    pub fn uses_queue(&self) -> bool {
-        self.use_queue
     }
 
     /// A point-in-time copy of the device counters.
@@ -692,19 +404,13 @@ impl<M: VirtioModel> VirtioDevice<M> {
     /// fall back to the rendezvous path.
     pub fn submit(&self, req: AccessDescriptor) {
         self.submitted.fetch_add(1, Ordering::Relaxed);
-        if self.kind == VirtioKind::Block {
-            i432_trace::bump(i432_trace::Counter::BlkSubmits);
-        } else {
-            i432_trace::bump(i432_trace::Counter::NetTx);
+        match self.kind {
+            VirtioKind::Block => i432_trace::bump(i432_trace::Counter::BlkSubmits),
+            VirtioKind::Net => i432_trace::bump(i432_trace::Counter::NetTx),
+            VirtioKind::Family => {}
         }
-        if self.use_queue {
-            match self.queue.push(req) {
-                Ok(()) => return,
-                Err(QueueRefusal::Full)
-                | Err(QueueRefusal::Contended)
-                | Err(QueueRefusal::Locked)
-                | Err(QueueRefusal::Empty) => {}
-            }
+        if self.use_queue && self.queue.push(RingEntry { msg: req, key: 0 }).is_ok() {
+            return;
         }
         self.backlogged.fetch_add(1, Ordering::Relaxed);
         self.backlog.lock().push_back(req);
@@ -723,7 +429,7 @@ impl<M: VirtioModel> VirtioDevice<M> {
         let mut cycles = 0u64;
         loop {
             let req = match self.queue.pop() {
-                Ok(req) => req,
+                Ok(entry) => entry.msg,
                 Err(_) => match self.backlog.lock().pop_front() {
                     Some(req) => req,
                     None => break,
@@ -742,30 +448,12 @@ impl<M: VirtioModel> VirtioDevice<M> {
         debug_assert_eq!(
             self.queue.occupancy(),
             0,
-            "virtqueue must be drained before the atomic section ends"
+            "device ring must be drained before the atomic section ends"
         );
         debug_assert!(
             self.backlog.lock().is_empty(),
             "device backlog must be drained before the atomic section ends"
         );
-    }
-
-    /// Tears the device down: retires the ring and fails every
-    /// undelivered request with `VIRTIO_S_IOERR` to its reply port.
-    pub fn shutdown<S: SpaceMut + ?Sized>(&self, space: &mut S) -> Result<u64, Fault> {
-        let mut orphans: Vec<AccessDescriptor> = Vec::new();
-        self.queue.retire(|req| orphans.push(req));
-        orphans.extend(self.backlog.lock().drain(..));
-        let n = orphans.len() as u64;
-        for req in orphans {
-            let req = AccessDescriptor::new(req.obj, Rights::ALL);
-            space
-                .write_u64(req, VREQ_STATUS_OFF, VIRTIO_S_IOERR)
-                .map_err(Fault::from)?;
-            self.failed.fetch_add(1, Ordering::Relaxed);
-            Self::post_completion(space, req)?;
-        }
-        Ok(n)
     }
 
     fn complete_one<S: SpaceMut + ?Sized>(
@@ -813,22 +501,14 @@ impl<M: VirtioModel> VirtioDevice<M> {
         } else {
             self.failed.fetch_add(1, Ordering::Relaxed);
         }
-        if self.kind == VirtioKind::Block {
-            i432_trace::bump(i432_trace::Counter::BlkCompletions);
-        } else {
-            i432_trace::bump(i432_trace::Counter::NetRx);
+        match self.kind {
+            VirtioKind::Block => i432_trace::bump(i432_trace::Counter::BlkCompletions),
+            VirtioKind::Net => i432_trace::bump(i432_trace::Counter::NetRx),
+            VirtioKind::Family => {}
         }
 
-        Self::post_completion(space, req)?;
-        Ok(cycles)
-    }
-
-    /// Posts the finished request to its reply port (forced enqueue, as
-    /// an interrupt must never be dropped for lack of queue space).
-    fn post_completion<S: SpaceMut + ?Sized>(
-        space: &mut S,
-        req: AccessDescriptor,
-    ) -> Result<(), Fault> {
+        // Post the finished request to its reply port (forced enqueue,
+        // as an interrupt must never be dropped for lack of queue space).
         let reply = space
             .load_ad_hw(req.obj, VREQ_SLOT_REPLY)
             .map_err(Fault::from)?
@@ -836,7 +516,7 @@ impl<M: VirtioModel> VirtioDevice<M> {
                 Fault::with_detail(FaultKind::NullAccess, "virtio request has no reply port")
             })?;
         match port::send(space, None, reply, req, 0, false, true)? {
-            SendOutcome::Queued | SendOutcome::Delivered => Ok(()),
+            SendOutcome::Queued | SendOutcome::Delivered => Ok(cycles),
             _ => Err(Fault::with_detail(
                 FaultKind::QueueOverflow,
                 "reply port full; completion interrupt lost",
@@ -845,12 +525,84 @@ impl<M: VirtioModel> VirtioDevice<M> {
     }
 }
 
+// ---------------------------------------------------------------------
+// I/O subsystems: family devices behind request ports.
+// ---------------------------------------------------------------------
+
+/// One independent I/O subsystem (paper §3's "multiple independent I/O
+/// subsystems"): family devices, each behind its own request port and
+/// driven through a [`VirtioDevice`]. Clients SEND a request object to
+/// the port and go on computing; a service pass hands the port's
+/// pending requests to the device, which completes each one back to the
+/// reply port it names.
+///
+/// The subsystem is serviced deterministically between simulation steps
+/// (the real attached processors ran truly in parallel; determinism of
+/// the measurements is worth more to a reproduction than wall-clock
+/// concurrency, and the *client-visible* asynchrony is identical).
+#[derive(Default)]
+pub struct IoSubsystem {
+    attached: Vec<(Port, VirtioDevice<FamilyDevice>)>,
+}
+
+impl IoSubsystem {
+    /// An empty subsystem.
+    pub fn new() -> IoSubsystem {
+        IoSubsystem::default()
+    }
+
+    /// Attaches a device behind a fresh FIFO request port of
+    /// `queue_depth` messages allocated from `sro`; returns the port
+    /// (hand clients send-only views).
+    pub fn attach<S: SpaceMut + ?Sized>(
+        &mut self,
+        space: &mut S,
+        sro: ObjectRef,
+        device: FamilyDevice,
+        queue_depth: u32,
+    ) -> Result<Port, Fault> {
+        let port = imax_ipc::create_port(space, sro, queue_depth, PortDiscipline::Fifo)?;
+        self.attached
+            .push((port, VirtioDevice::new(device, queue_depth, true)));
+        Ok(port)
+    }
+
+    /// Services every attached device once, completing its requests in
+    /// arrival order; returns total completions.
+    pub fn service<S: SpaceMut + ?Sized>(&self, space: &mut S) -> Result<u64, Fault> {
+        let mut total = 0;
+        for (port, device) in &self.attached {
+            while let RecvOutcome::Received(req) =
+                port::receive(space, None, port.ad(), false, true)?
+            {
+                device.submit(req);
+            }
+            total += device.service(space)?.0;
+        }
+        Ok(total)
+    }
+
+    /// Counters summed over every attached device.
+    pub fn stats(&self) -> VirtioStats {
+        let mut sum = VirtioStats::default();
+        for (_, device) in &self.attached {
+            let s = device.stats();
+            sum.submitted += s.submitted;
+            sum.backlogged += s.backlogged;
+            sum.completed += s.completed;
+            sum.failed += s.failed;
+            sum.device_cycles += s.device_cycles;
+        }
+        sum
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use i432_arch::{ObjectSpace, ObjectSpec, PortDiscipline};
-    use std::collections::HashSet;
-    use std::sync::atomic::AtomicUsize;
+    use crate::console::ConsoleDevice;
+    use i432_arch::{ObjectSpace, ObjectSpec};
+    use imax_ipc::untyped;
 
     fn space() -> ObjectSpace {
         ObjectSpace::new(256 * 1024, 16 * 1024, 4096)
@@ -858,7 +610,7 @@ mod tests {
 
     fn mk_req(
         s: &mut ObjectSpace,
-        reply: imax_ipc::Port,
+        reply: Port,
         op: u64,
         lba: u64,
         data: &[u8],
@@ -876,149 +628,8 @@ mod tests {
         ad
     }
 
-    fn fake_ad(i: u32) -> AccessDescriptor {
-        AccessDescriptor {
-            obj: ObjectRef {
-                index: ObjectIndex(i),
-                generation: 7,
-            },
-            rights: Rights::ALL,
-        }
-    }
-
-    #[test]
-    fn virtqueue_fifo_and_refusals() {
-        let q = VirtQueue::new(4);
-        for i in 0..4 {
-            q.push(fake_ad(i)).unwrap();
-        }
-        assert_eq!(q.push(fake_ad(99)), Err(QueueRefusal::Full));
-        assert_eq!(q.occupancy(), 4);
-        for i in 0..4 {
-            assert_eq!(q.pop().unwrap().obj.index.0, i);
-        }
-        assert_eq!(q.pop(), Err(QueueRefusal::Empty));
-    }
-
-    #[test]
-    fn virtqueue_wraps_across_position_space() {
-        // Positions start just below 2^63 so head/tail wrap mid-test.
-        let q = VirtQueue::with_start(4, POS_MASK - 2);
-        for lap in 0u32..4 {
-            for i in 0..3 {
-                q.push(fake_ad(lap * 3 + i)).unwrap();
-            }
-            for i in 0..3 {
-                assert_eq!(q.pop().unwrap().obj.index.0, lap * 3 + i);
-            }
-        }
-        assert_eq!(q.occupancy(), 0);
-    }
-
-    #[test]
-    fn virtqueue_freeze_drain_reopen() {
-        let q = VirtQueue::new(8);
-        q.push(fake_ad(1)).unwrap();
-        q.push(fake_ad(2)).unwrap();
-        let mut seen = Vec::new();
-        assert_eq!(q.freeze_and_drain(|ad| seen.push(ad.obj.index.0)), 2);
-        assert_eq!(seen, vec![1, 2]);
-        assert!(q.is_frozen());
-        assert_eq!(q.push(fake_ad(3)), Err(QueueRefusal::Locked));
-        q.reopen();
-        q.push(fake_ad(3)).unwrap();
-        assert_eq!(q.pop().unwrap().obj.index.0, 3);
-    }
-
-    #[test]
-    fn virtqueue_retire_never_reopens() {
-        let q = VirtQueue::new(8);
-        q.push(fake_ad(1)).unwrap();
-        let mut orphans = 0;
-        assert_eq!(q.retire(|_| orphans += 1), 1);
-        assert_eq!(orphans, 1);
-        assert!(q.is_dead());
-        q.reopen();
-        assert_eq!(q.push(fake_ad(2)), Err(QueueRefusal::Locked));
-        // Idempotent: a second retire finds nothing.
-        assert_eq!(q.retire(|_| panic!("drained twice")), 0);
-    }
-
-    /// Satellite coverage: concurrent `freeze_and_drain`/`retire` with
-    /// producers racing both. Every pushed descriptor must surface in
-    /// exactly one drain (drainer's or retirer's), and the queue must
-    /// end dead and empty.
-    #[test]
-    fn virtqueue_retire_during_drain_race() {
-        for round in 0..64 {
-            let q = Arc::new(VirtQueue::new(8));
-            let pushed = Arc::new(AtomicUsize::new(0));
-            let drained: Arc<Mutex<Vec<u32>>> = Arc::new(Mutex::new(Vec::new()));
-
-            std::thread::scope(|scope| {
-                for p in 0u32..3 {
-                    let q = Arc::clone(&q);
-                    let pushed = Arc::clone(&pushed);
-                    scope.spawn(move || {
-                        for i in 0..200u32 {
-                            match q.push(fake_ad(p * 1000 + i)) {
-                                Ok(()) => {
-                                    pushed.fetch_add(1, Ordering::SeqCst);
-                                }
-                                Err(QueueRefusal::Locked) => break,
-                                Err(_) => std::thread::yield_now(),
-                            }
-                        }
-                    });
-                }
-                // A drainer cycling freeze → drain → reopen, racing the
-                // retirer below.
-                {
-                    let q = Arc::clone(&q);
-                    let drained = Arc::clone(&drained);
-                    scope.spawn(move || {
-                        while !q.is_dead() {
-                            let mut got = Vec::new();
-                            q.freeze_and_drain(|ad| got.push(ad.obj.index.0));
-                            drained.lock().extend(got);
-                            q.reopen();
-                            std::thread::yield_now();
-                        }
-                    });
-                }
-                {
-                    let q = Arc::clone(&q);
-                    let drained = Arc::clone(&drained);
-                    scope.spawn(move || {
-                        // Vary interleaving across rounds.
-                        for _ in 0..(round % 7) {
-                            std::thread::yield_now();
-                        }
-                        let mut got = Vec::new();
-                        q.retire(|ad| got.push(ad.obj.index.0));
-                        drained.lock().extend(got);
-                    });
-                }
-            });
-
-            // Post-retire drains find whatever producers squeezed in
-            // between the retirer's drain and their Locked refusal —
-            // the retire froze the tail first, so nothing can remain.
-            let mut tail = Vec::new();
-            q.freeze_and_drain(|ad| tail.push(ad.obj.index.0));
-            drained.lock().extend(tail);
-
-            let all = drained.lock();
-            assert_eq!(
-                all.len(),
-                pushed.load(Ordering::SeqCst),
-                "round {round}: every push surfaces in exactly one drain"
-            );
-            let unique: HashSet<u32> = all.iter().copied().collect();
-            assert_eq!(unique.len(), all.len(), "round {round}: no duplicates");
-            assert!(q.is_dead());
-            assert_eq!(q.occupancy(), 0);
-        }
+    fn console(script: &[u8]) -> FamilyDevice {
+        Arc::new(Mutex::new(ConsoleDevice::new("tty0", script)))
     }
 
     #[test]
@@ -1039,8 +650,8 @@ mod tests {
             dev.assert_idle();
 
             // Both completions arrive at the reply port, write first.
-            let c1 = imax_ipc::untyped::receive(&mut s, reply).unwrap().unwrap();
-            let c2 = imax_ipc::untyped::receive(&mut s, reply).unwrap().unwrap();
+            let c1 = untyped::receive(&mut s, reply).unwrap().unwrap();
+            let c2 = untyped::receive(&mut s, reply).unwrap().unwrap();
             assert_eq!(c1.obj, w.obj);
             assert_eq!(c2.obj, r.obj);
             let c2 = AccessDescriptor::new(c2.obj, Rights::ALL);
@@ -1059,39 +670,108 @@ mod tests {
     }
 
     #[test]
+    fn family_requests_round_trip_through_independent_subsystems() {
+        let mut s = space();
+        let root = s.root_sro();
+        let tty_a = Arc::new(Mutex::new(ConsoleDevice::new("ttyA", b"pong")));
+        let mut io_a = IoSubsystem::new();
+        let mut io_b = IoSubsystem::new();
+        let port_a = io_a.attach(&mut s, root, tty_a.clone(), 8).unwrap();
+        let port_b = io_b.attach(&mut s, root, console(b""), 4).unwrap();
+        let reply = imax_ipc::create_port(&mut s, root, 8, PortDiscipline::Fifo).unwrap();
+
+        // Submit open + write + read to A and an open to B; nothing
+        // happens until a subsystem runs (asynchrony).
+        let r_open = mk_req(&mut s, reply, OP_OPEN.into(), 0, &[]);
+        let r_write = mk_req(&mut s, reply, OP_WRITE.into(), 0, b"ping");
+        let r_read = mk_req(&mut s, reply, OP_READ.into(), 0, &[0u8; 4]);
+        for r in [r_open, r_write, r_read] {
+            untyped::send(&mut s, port_a, r).unwrap();
+        }
+        let r_b = mk_req(&mut s, reply, OP_OPEN.into(), 0, &[]);
+        untyped::send(&mut s, port_b, r_b).unwrap();
+        assert_eq!(untyped::receive(&mut s, reply).unwrap(), None, "not yet");
+
+        // Servicing subsystem A does not touch B's queue.
+        assert_eq!(io_a.service(&mut s).unwrap(), 3);
+        assert_eq!(s.port(port_b.object()).unwrap().msg_count, 1, "B pending");
+
+        // Completions arrive in submission order on the reply port.
+        for expected in [r_open, r_write, r_read] {
+            let c = untyped::receive(&mut s, reply).unwrap().unwrap();
+            assert_eq!(c.obj, expected.obj);
+            assert_eq!(s.read_u64(expected, VREQ_STATUS_OFF).unwrap(), VIRTIO_S_OK);
+        }
+        // The write reached the device; the read brought back the script.
+        assert_eq!(tty_a.lock().transcript(), b"ping");
+        let mut buf = [0u8; 4];
+        s.read_data(r_read, VREQ_DATA_OFF, &mut buf).unwrap();
+        assert_eq!(&buf, b"pong");
+        assert_eq!(s.read_u64(r_read, VREQ_COUNT_OFF).unwrap(), 4);
+        assert_eq!(io_a.stats().completed, 3);
+        // Open, then two 4-byte transfers at the console's 8 cycles/byte.
+        assert_eq!(io_a.stats().device_cycles, 40 + 2 * (60 + 4 * 8));
+
+        assert_eq!(io_b.service(&mut s).unwrap(), 1);
+        assert_eq!(io_b.stats().completed, 1);
+    }
+
+    #[test]
     fn cycle_model_is_path_independent() {
         // The deterministic claim behind the conform differential: the
-        // cycles charged for a batch depend only on the requests.
+        // cycles charged for a batch depend only on the requests. A
+        // depth of 5 (8 physical slots) pins the ring's logical-capacity
+        // admission: the ring takes 5 and the backlog the other 2.
         let mut totals = Vec::new();
         for use_queue in [true, false] {
             let mut s = space();
             let root = s.root_sro();
             let reply = imax_ipc::create_port(&mut s, root, 16, PortDiscipline::Fifo).unwrap();
-            let dev = VirtioDevice::new(VirtioBlock::new("vda", 64, 128), 4, use_queue);
-            for lba in 0..6 {
-                let req = mk_req(&mut s, reply, VIRTIO_OP_WRITE, lba, &[lba as u8; 32]);
+            let dev = VirtioDevice::new(VirtioBlock::new("vda", 64, 128), 5, use_queue);
+            let reqs: Vec<_> = (0..7)
+                .map(|lba| mk_req(&mut s, reply, VIRTIO_OP_WRITE, lba, &[lba as u8; 32]))
+                .collect();
+            for &req in &reqs {
                 dev.submit(req);
             }
+            assert_eq!(dev.stats().backlogged, if use_queue { 2 } else { 7 });
             let (done, cycles) = dev.service(&mut s).unwrap();
-            assert_eq!(done, 6);
+            assert_eq!(done, 7);
+            for req in reqs {
+                let c = untyped::receive(&mut s, reply).unwrap().unwrap();
+                assert_eq!(c.obj, req.obj, "completions in submission order");
+            }
             totals.push(cycles);
         }
         assert_eq!(totals[0], totals[1], "ring vs backlog charge identically");
     }
 
     #[test]
-    fn bad_lba_fails_cleanly() {
+    fn failures_complete_with_status() {
+        // A bad LBA on a block device, and a family read before open
+        // through an I/O subsystem: both fail, and both completions
+        // still arrive.
         let mut s = space();
         let root = s.root_sro();
         let reply = imax_ipc::create_port(&mut s, root, 4, PortDiscipline::Fifo).unwrap();
         let dev = VirtioDevice::new(VirtioBlock::new("vda", 4, 64), 4, true);
-        let req = mk_req(&mut s, reply, VIRTIO_OP_READ, 1000, &[0u8; 8]);
-        dev.submit(req);
+        let bad_lba = mk_req(&mut s, reply, VIRTIO_OP_READ, 1000, &[0u8; 8]);
+        dev.submit(bad_lba);
         dev.service(&mut s).unwrap();
-        let c = imax_ipc::untyped::receive(&mut s, reply).unwrap().unwrap();
-        let c = AccessDescriptor::new(c.obj, Rights::ALL);
-        assert_eq!(s.read_u64(c, VREQ_STATUS_OFF).unwrap(), VIRTIO_S_IOERR);
         assert_eq!(dev.stats().failed, 1);
+
+        let mut io = IoSubsystem::new();
+        let req_port = io.attach(&mut s, root, console(b""), 4).unwrap();
+        let early_read = mk_req(&mut s, reply, OP_READ.into(), 0, &[0u8; 4]);
+        untyped::send(&mut s, req_port, early_read).unwrap();
+        io.service(&mut s).unwrap();
+        assert_eq!(io.stats().failed, 1);
+
+        for req in [bad_lba, early_read] {
+            let c = untyped::receive(&mut s, reply).unwrap().unwrap();
+            assert_eq!(c.obj, req.obj);
+            assert_eq!(s.read_u64(req, VREQ_STATUS_OFF).unwrap(), VIRTIO_S_IOERR);
+        }
     }
 
     #[test]
@@ -1105,43 +785,12 @@ mod tests {
         let (done, cycles) = dev.service(&mut s).unwrap();
         assert_eq!(done, 1);
         assert_eq!(cycles, 200 + 2 * 10);
-        let c = imax_ipc::untyped::receive(&mut s, reply).unwrap().unwrap();
+        let c = untyped::receive(&mut s, reply).unwrap().unwrap();
         let c = AccessDescriptor::new(c.obj, Rights::ALL);
         assert_eq!(s.read_u64(c, VREQ_STATUS_OFF).unwrap(), VIRTIO_S_OK);
         let mut buf = [0u8; 10];
         s.read_data(c, VREQ_DATA_OFF, &mut buf).unwrap();
         assert_eq!(&buf, b"ping frame");
         assert_eq!(dev.model().lock().traffic(), (1, 1, 10));
-    }
-
-    #[test]
-    fn shutdown_fails_orphans_to_reply_port() {
-        let mut s = space();
-        let root = s.root_sro();
-        let reply = imax_ipc::create_port(&mut s, root, 4, PortDiscipline::Fifo).unwrap();
-        let dev = VirtioDevice::new(VirtioBlock::new("vda", 4, 64), 4, true);
-        let req = mk_req(&mut s, reply, VIRTIO_OP_READ, 0, &[0u8; 8]);
-        dev.submit(req);
-        assert_eq!(dev.shutdown(&mut s).unwrap(), 1);
-        let c = imax_ipc::untyped::receive(&mut s, reply).unwrap().unwrap();
-        let c = AccessDescriptor::new(c.obj, Rights::ALL);
-        assert_eq!(s.read_u64(c, VREQ_STATUS_OFF).unwrap(), VIRTIO_S_IOERR);
-        assert!(dev.queue().is_dead());
-    }
-
-    #[test]
-    fn virtio_block_behind_the_family_interface() {
-        // The model doubles as an ordinary family device (§6.3: the
-        // common subset as a subset).
-        let mut d = VirtioBlock::new("vda", 8, 16);
-        DeviceImpl::close(&mut d).unwrap();
-        DeviceImpl::open(&mut d).unwrap();
-        d.control(crate::disk::BLK_OP_SEEK, 3).unwrap();
-        DeviceImpl::write(&mut d, b"family view").unwrap();
-        assert_eq!(d.control(crate::disk::BLK_OP_COUNT, 0).unwrap(), 8);
-        d.control(crate::disk::BLK_OP_SEEK, 3).unwrap();
-        let mut buf = [0u8; 11];
-        DeviceImpl::read(&mut d, &mut buf).unwrap();
-        assert_eq!(&buf, b"family view");
     }
 }

@@ -10,7 +10,9 @@
 //! Run with: `cargo run --release --example grand_tour`
 
 use imax::inspect;
-use imax::io::iop::{REQ_DATA_OFF, REQ_LEN_OFF, REQ_OP_OFF, REQ_SLOT_REPLY, REQ_STATUS_OFF};
+use imax::io::virtio::{
+    VREQ_DATA_OFF, VREQ_LEN_OFF, VREQ_OP_OFF, VREQ_SLOT_REPLY, VREQ_STATUS_OFF,
+};
 use imax::io::{ConsoleDevice, DeviceImpl, TapePool, OP_WRITE};
 use imax::prelude::*;
 use parking_lot::Mutex;
@@ -62,14 +64,20 @@ fn main() {
         // Submit an async write of one marker byte.
         p.create_object(
             imax::arch::sysobj::CTX_SLOT_SRO as u16,
-            DataRef::Imm((REQ_DATA_OFF + 8) as u64),
+            DataRef::Imm((VREQ_DATA_OFF + 8) as u64),
             DataRef::Imm(2),
             7,
         );
-        p.mov(DataRef::Imm(OP_WRITE as u64), DataDst::Field(7, REQ_OP_OFF));
-        p.mov(DataRef::Imm(1), DataDst::Field(7, REQ_LEN_OFF));
-        p.mov(DataRef::Imm(marker as u64), DataDst::Field(7, REQ_DATA_OFF));
-        p.store_ad(6, 7, DataRef::Imm(REQ_SLOT_REPLY as u64));
+        p.mov(
+            DataRef::Imm(OP_WRITE as u64),
+            DataDst::Field(7, VREQ_OP_OFF),
+        );
+        p.mov(DataRef::Imm(1), DataDst::Field(7, VREQ_LEN_OFF));
+        p.mov(
+            DataRef::Imm(marker as u64),
+            DataDst::Field(7, VREQ_DATA_OFF),
+        );
+        p.store_ad(6, 7, DataRef::Imm(VREQ_SLOT_REPLY as u64));
         p.send(5, 7);
         // Overlap more compute with the device, then reap the completion.
         p.work(spin);
@@ -77,7 +85,7 @@ fn main() {
         let ok = p.new_label();
         p.alu(
             AluOp::Eq,
-            DataRef::Field(8, REQ_STATUS_OFF),
+            DataRef::Field(8, VREQ_STATUS_OFF),
             DataRef::Imm(0),
             DataDst::Local(0),
         );
