@@ -19,11 +19,15 @@
 //!   the on-the-fly collector, including the *gray bit* the hardware sets
 //!   whenever access descriptors are moved.
 //!
-//! The combined, checked view of table + arenas is [`ObjectSpace`]; all
-//! higher layers (the GDP interpreter, iMAX itself) perform every memory and
-//! capability operation through it, so the protection checks here are the
-//! single enforcement point — exactly the property the paper attributes to
-//! the 432 hardware.
+//! The combined, checked view of table + arenas is [`ShardedSpace`]: the
+//! space split into address-interleaved shards (one shard is the unsharded
+//! space), each an [`ObjectSpace`] holding its slice of the table and its
+//! own arenas. All higher layers (the GDP interpreter, iMAX itself) perform
+//! every memory and capability operation through the [`SpaceAccess`] and
+//! [`SpaceMut`] traits, which `ShardedSpace` and its per-thread
+//! [`SpaceAgent`] implement by forwarding to the shard, so the protection
+//! checks in [`ObjectSpace`] are the single enforcement point — exactly the
+//! property the paper attributes to the 432 hardware.
 //!
 //! This crate is deliberately free of any notion of *processors*, *cycles*
 //! or *instructions*; those live in `i432-gdp`.

@@ -545,39 +545,6 @@ impl ObjectTable {
                     .map(move |(i, e)| (self.global(base + i as u32), e))
             })
     }
-
-    /// Mutable iteration over all live entries (collector sweep). Same
-    /// page-skipping cost shape as [`ObjectTable::iter_live`].
-    pub fn iter_live_mut(&mut self) -> impl Iterator<Item = (ObjectIndex, &mut Entry)> + '_ {
-        let stride = self.stride;
-        let offset = self.offset;
-        let used = self.used;
-        let pages = (used as usize).div_ceil(LEAF_ENTRIES as usize) as u32;
-        let root = &self.root;
-        (0..pages)
-            .filter_map(move |page| {
-                let p = root[page as usize].load(Ordering::Acquire);
-                // SAFETY: exclusive access through `&mut self` (the
-                // borrow is threaded through the returned iterator);
-                // each page is visited exactly once, so the &mut
-                // entries handed out never alias.
-                let l = unsafe { p.as_mut()? };
-                if l.live > 0 {
-                    Some((page, l))
-                } else {
-                    None
-                }
-            })
-            .flat_map(move |(page, l)| {
-                let base = page << LEAF_SHIFT;
-                let len = (used - base).min(LEAF_ENTRIES);
-                l.entries[..len as usize]
-                    .iter_mut()
-                    .enumerate()
-                    .filter(|(_, e)| e.allocated)
-                    .map(move |(i, e)| (ObjectIndex((base + i as u32) * stride + offset), e))
-            })
-    }
 }
 
 #[cfg(test)]

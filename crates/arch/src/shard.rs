@@ -1,4 +1,5 @@
-//! Lock-striped sharding of the object space.
+//! Lock-striped sharding of the object space — the one implementation
+//! of the [`SpaceAccess`]/[`SpaceMut`] capability traits.
 //!
 //! The object table and both arenas are partitioned into `N`
 //! address-interleaved shards: object index `i` lives in shard
@@ -7,16 +8,16 @@
 //! storage always comes from an SRO in its own shard, allocation,
 //! destruction and SRO free-list traffic are shard-local; the only
 //! genuinely cross-shard operation is storing an access descriptor
-//! whose target lives elsewhere, which runs the decomposed
-//! container-side / target-side steps of [`ObjectSpace::store_ad`] on
-//! the two shards involved.
+//! whose target lives elsewhere, which runs the container-side and
+//! target-side steps of [`ObjectSpace::store_ad`] on the two shards
+//! involved (`ObjectSpace::store_ad_across`).
 //!
 //! Two types expose the partition:
 //!
 //! * [`ShardedSpace`] — exclusive ownership, no locks. The
-//!   deterministic simulator uses this; with one shard every operation
-//!   forwards to the identical [`ObjectSpace`] code path, so
-//!   single-shard runs are bit-identical to the unsharded space.
+//!   deterministic simulator, the unit tests and the examples use
+//!   this; every operation forwards to the shard's [`ObjectSpace`], so
+//!   a one-shard space is the unsharded space.
 //! * [`SharedSpace`] — the same [`ShardedSpace`] behind one mutex per
 //!   shard, shared by reference across host threads. Each thread works
 //!   through a [`SpaceAgent`], whose per-operation locking takes the
@@ -27,7 +28,7 @@
 
 use crate::{
     descriptor::{Color, SystemType},
-    error::ArchResult,
+    error::{ArchError, ArchResult},
     memory::{AccessArena, DataArena},
     object_table::Entry,
     portring::PortRingRegistry,
@@ -68,9 +69,9 @@ impl Clone for ShardedSpace {
 
 impl ShardedSpace {
     /// Builds `n` shards splitting the given arena budget and table
-    /// limit evenly. `n == 1` produces a space whose behavior (and
-    /// operation-by-operation statistics) is identical to
-    /// `ObjectSpace::new(data_bytes, access_slots, table_limit)`.
+    /// limit evenly, each with a root SRO owning its share of both
+    /// arenas at level 0. `n == 1` is the unsharded space: one table,
+    /// one pair of arenas, one root SRO.
     pub fn new(data_bytes: u32, access_slots: u32, table_limit: u32, n: u32) -> ShardedSpace {
         assert!(n >= 1, "at least one shard");
         let shards = (0..n)
@@ -144,7 +145,11 @@ impl ShardedSpace {
         self.shards[k as usize].root_sro()
     }
 
-    /// See [`ObjectSpace::mint`].
+    /// Mints an access descriptor for `r` with the given rights.
+    ///
+    /// This is the *trusted* fabrication path, corresponding to microcode
+    /// and type-manager privilege; ordinary programs only ever receive
+    /// descriptors minted by object creation or derived by restriction.
     #[inline]
     pub fn mint(&self, r: ObjectRef, rights: Rights) -> AccessDescriptor {
         AccessDescriptor::new(r, rights)
@@ -194,14 +199,14 @@ impl ShardedSpace {
         self.shards[k].write_data(ad, off, buf)
     }
 
-    /// See [`ObjectSpace::read_u64`].
+    /// Reads a 64-bit little-endian word from a data part.
     pub fn read_u64(&mut self, ad: AccessDescriptor, off: u32) -> ArchResult<u64> {
         let mut b = [0u8; 8];
         self.read_data(ad, off, &mut b)?;
         Ok(u64::from_le_bytes(b))
     }
 
-    /// See [`ObjectSpace::write_u64`].
+    /// Writes a 64-bit little-endian word into a data part.
     pub fn write_u64(&mut self, ad: AccessDescriptor, off: u32, v: u64) -> ArchResult<()> {
         self.write_data(ad, off, &v.to_le_bytes())
     }
@@ -216,19 +221,19 @@ impl ShardedSpace {
         self.shards[k].load_ad(container, slot)
     }
 
-    /// See [`ObjectSpace::load_ad_required`].
+    /// Loads a slot that must be non-null.
     pub fn load_ad_required(
         &mut self,
         container: AccessDescriptor,
         slot: u32,
     ) -> ArchResult<AccessDescriptor> {
-        let k = self.shard_for(container.obj);
-        self.shards[k].load_ad_required(container, slot)
+        self.load_ad(container, slot)?
+            .ok_or(ArchError::NullAccess { slot })
     }
 
     /// See [`ObjectSpace::store_ad`]. Same-shard stores run the
-    /// unsharded path verbatim; cross-shard stores run its decomposed
-    /// container-side and target-side steps on the two shards.
+    /// unsharded path verbatim; cross-shard stores split it across the
+    /// two shards.
     pub fn store_ad(
         &mut self,
         container: AccessDescriptor,
@@ -240,9 +245,7 @@ impl ShardedSpace {
             Some(t) if self.shard_for(t.obj) != a => {
                 let b = self.shard_for(t.obj);
                 let (ca, tb) = self.two_shards(a, b);
-                let (at, container_level) = ca.store_ad_prepare(container, slot)?;
-                tb.store_ad_admit(t.obj, container_level)?;
-                ca.store_ad_commit(at, ad)
+                ObjectSpace::store_ad_across(ca, tb, container, slot, t)
             }
             _ => self.shards[a].store_ad(container, slot, ad),
         }
@@ -260,9 +263,7 @@ impl ShardedSpace {
             Some(t) if self.shard_for(t.obj) != a => {
                 let b = self.shard_for(t.obj);
                 let (ca, tb) = self.two_shards(a, b);
-                let at = ca.store_ad_prepare_hw(container, slot)?;
-                tb.store_ad_admit_hw(t.obj)?;
-                ca.store_ad_commit(at, ad)
+                ObjectSpace::store_ad_hw_across(ca, tb, container, slot, t)
             }
             _ => self.shards[a].store_ad_hw(container, slot, ad),
         }
@@ -371,64 +372,54 @@ impl ShardedSpace {
         crate::digest::logical_digest(self)
     }
 
-    /// See [`ObjectSpace::port`].
+    /// See [`SysState::port`].
     pub fn port(&self, r: ObjectRef) -> ArchResult<&PortState> {
-        let k = self.shard_for(r);
-        self.shards[k].port(r)
+        self.entry(r)?.sys.port()
     }
 
-    /// See [`ObjectSpace::port_mut`].
+    /// See [`SysState::port_mut`].
     pub fn port_mut(&mut self, r: ObjectRef) -> ArchResult<&mut PortState> {
-        let k = self.shard_for(r);
-        self.shards[k].port_mut(r)
+        self.entry_mut(r)?.sys.port_mut()
     }
 
-    /// See [`ObjectSpace::process`].
+    /// See [`SysState::process`].
     pub fn process(&self, r: ObjectRef) -> ArchResult<&ProcessState> {
-        let k = self.shard_for(r);
-        self.shards[k].process(r)
+        self.entry(r)?.sys.process()
     }
 
-    /// See [`ObjectSpace::process_mut`].
+    /// See [`SysState::process_mut`].
     pub fn process_mut(&mut self, r: ObjectRef) -> ArchResult<&mut ProcessState> {
-        let k = self.shard_for(r);
-        self.shards[k].process_mut(r)
+        self.entry_mut(r)?.sys.process_mut()
     }
 
-    /// See [`ObjectSpace::processor`].
+    /// See [`SysState::processor`].
     pub fn processor(&self, r: ObjectRef) -> ArchResult<&ProcessorState> {
-        let k = self.shard_for(r);
-        self.shards[k].processor(r)
+        self.entry(r)?.sys.processor()
     }
 
-    /// See [`ObjectSpace::processor_mut`].
+    /// See [`SysState::processor_mut`].
     pub fn processor_mut(&mut self, r: ObjectRef) -> ArchResult<&mut ProcessorState> {
-        let k = self.shard_for(r);
-        self.shards[k].processor_mut(r)
+        self.entry_mut(r)?.sys.processor_mut()
     }
 
-    /// See [`ObjectSpace::sro`].
+    /// See [`SysState::sro`].
     pub fn sro(&self, r: ObjectRef) -> ArchResult<&SroState> {
-        let k = self.shard_for(r);
-        self.shards[k].sro(r)
+        self.entry(r)?.sys.sro()
     }
 
-    /// See [`ObjectSpace::sro_mut`].
+    /// See [`SysState::sro_mut`].
     pub fn sro_mut(&mut self, r: ObjectRef) -> ArchResult<&mut SroState> {
-        let k = self.shard_for(r);
-        self.shards[k].sro_mut(r)
+        self.entry_mut(r)?.sys.sro_mut()
     }
 
-    /// See [`ObjectSpace::tdo`].
+    /// See [`SysState::tdo`].
     pub fn tdo(&self, r: ObjectRef) -> ArchResult<&TdoState> {
-        let k = self.shard_for(r);
-        self.shards[k].tdo(r)
+        self.entry(r)?.sys.tdo()
     }
 
-    /// See [`ObjectSpace::tdo_mut`].
+    /// See [`SysState::tdo_mut`].
     pub fn tdo_mut(&mut self, r: ObjectRef) -> ArchResult<&mut TdoState> {
-        let k = self.shard_for(r);
-        self.shards[k].tdo_mut(r)
+        self.entry_mut(r)?.sys.tdo_mut()
     }
 }
 
@@ -523,10 +514,6 @@ impl SpaceAccess for ShardedSpace {
         ShardedSpace::scan_access_part(self, r)
     }
 
-    fn live_indices(&mut self) -> Vec<ObjectIndex> {
-        ShardedSpace::live_indices(self)
-    }
-
     fn stats(&mut self) -> SpaceStats {
         ShardedSpace::stats(self)
     }
@@ -545,8 +532,8 @@ impl SpaceAccess for ShardedSpace {
         f(self)
     }
 
-    fn port_rings(&self) -> Option<&Arc<PortRingRegistry>> {
-        Some(&self.port_rings)
+    fn port_rings(&self) -> &Arc<PortRingRegistry> {
+        &self.port_rings
     }
 }
 
@@ -578,14 +565,6 @@ impl SpaceMut for ShardedSpace {
     fn for_each_live(&self, f: &mut dyn FnMut(ObjectIndex, &Entry)) {
         for s in &self.shards {
             for (i, e) in s.table.iter_live() {
-                f(i, e);
-            }
-        }
-    }
-
-    fn for_each_live_mut(&mut self, f: &mut dyn FnMut(ObjectIndex, &mut Entry)) {
-        for s in &mut self.shards {
-            for (i, e) in s.table.iter_live_mut() {
                 f(i, e);
             }
         }
@@ -653,46 +632,6 @@ impl SpaceMut for ShardedSpace {
     fn stats_mut_of(&mut self, r: ObjectRef) -> &mut SpaceStats {
         let k = self.shard_for(r);
         &mut self.shards[k].stats
-    }
-
-    fn port(&self, r: ObjectRef) -> ArchResult<&PortState> {
-        ShardedSpace::port(self, r)
-    }
-
-    fn port_mut(&mut self, r: ObjectRef) -> ArchResult<&mut PortState> {
-        ShardedSpace::port_mut(self, r)
-    }
-
-    fn process(&self, r: ObjectRef) -> ArchResult<&ProcessState> {
-        ShardedSpace::process(self, r)
-    }
-
-    fn process_mut(&mut self, r: ObjectRef) -> ArchResult<&mut ProcessState> {
-        ShardedSpace::process_mut(self, r)
-    }
-
-    fn processor(&self, r: ObjectRef) -> ArchResult<&ProcessorState> {
-        ShardedSpace::processor(self, r)
-    }
-
-    fn processor_mut(&mut self, r: ObjectRef) -> ArchResult<&mut ProcessorState> {
-        ShardedSpace::processor_mut(self, r)
-    }
-
-    fn sro(&self, r: ObjectRef) -> ArchResult<&SroState> {
-        ShardedSpace::sro(self, r)
-    }
-
-    fn sro_mut(&mut self, r: ObjectRef) -> ArchResult<&mut SroState> {
-        ShardedSpace::sro_mut(self, r)
-    }
-
-    fn tdo(&self, r: ObjectRef) -> ArchResult<&TdoState> {
-        ShardedSpace::tdo(self, r)
-    }
-
-    fn tdo_mut(&mut self, r: ObjectRef) -> ArchResult<&mut TdoState> {
-        ShardedSpace::tdo_mut(self, r)
     }
 }
 
@@ -919,11 +858,13 @@ impl SharedSpace {
 
     /// Collector entry: runs `f` on shard `k` under its lock, exposing
     /// the shard's [`ObjectSpace`] directly so a per-shard marker or
-    /// sweeper can walk live leaf pages ([`ObjectSpace::for_live_in_range`])
-    /// and flip colors in bulk without per-object agent round trips.
+    /// sweeper can walk live leaf pages
+    /// ([`crate::ObjectTable::for_live_in_range`]) and flip colors in
+    /// bulk without per-object agent round trips.
     ///
     /// Epoch contract: `f` may *read* anything in the shard and may
-    /// mutate **color state only** (shade / blacken / whiten) — colors
+    /// mutate **color state only** (shade / blacken / whiten, and the
+    /// shard's allocation color) — colors
     /// do not participate in descriptor qualification, so color flips
     /// are invisible to the lock-free qualification cache and need **no
     /// epoch bump**. Anything cache-visible — destroying objects,
@@ -1219,9 +1160,7 @@ impl SpaceAccess for SpaceAgent<'_> {
             Some(t) if self.shared.shard_for(t.obj) != a => {
                 let b = self.shared.shard_for(t.obj);
                 self.shared.with_two_shards(a, b, |ca, tb| {
-                    let (at, container_level) = ca.store_ad_prepare(container, slot)?;
-                    tb.store_ad_admit(t.obj, container_level)?;
-                    ca.store_ad_commit(at, ad)
+                    ObjectSpace::store_ad_across(ca, tb, container, slot, t)
                 })
             }
             _ => self
@@ -1241,9 +1180,7 @@ impl SpaceAccess for SpaceAgent<'_> {
             Some(t) if self.shared.shard_for(t.obj) != a => {
                 let b = self.shared.shard_for(t.obj);
                 self.shared.with_two_shards(a, b, |ca, tb| {
-                    let at = ca.store_ad_prepare_hw(container, slot)?;
-                    tb.store_ad_admit_hw(t.obj)?;
-                    ca.store_ad_commit(at, ad)
+                    ObjectSpace::store_ad_hw_across(ca, tb, container, slot, t)
                 })
             }
             _ => self
@@ -1281,16 +1218,6 @@ impl SpaceAccess for SpaceAgent<'_> {
     fn scan_access_part(&mut self, r: ObjectRef) -> ArchResult<Vec<AccessDescriptor>> {
         self.shared
             .with_shard(self.shared.shard_for(r), |s| s.scan_access_part(r))
-    }
-
-    fn live_indices(&mut self) -> Vec<ObjectIndex> {
-        let mut out = Vec::new();
-        for k in 0..self.shared.locks.len() {
-            self.shared.with_shard(k, |s| {
-                out.extend(s.table.iter_live().map(|(i, _)| i));
-            });
-        }
-        out
     }
 
     fn stats(&mut self) -> SpaceStats {
@@ -1342,15 +1269,14 @@ impl SpaceAccess for SpaceAgent<'_> {
         })
     }
 
-    fn port_rings(&self) -> Option<&Arc<PortRingRegistry>> {
-        Some(&self.shared.port_rings)
+    fn port_rings(&self) -> &Arc<PortRingRegistry> {
+        &self.shared.port_rings
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::error::ArchError;
     use crate::level::Level;
     use crate::traits::SpaceAccessExt;
 
@@ -1380,18 +1306,6 @@ mod tests {
             st.data_reads,
             st.data_writes,
         ]
-    }
-
-    #[test]
-    fn single_shard_matches_object_space_exactly() {
-        let mut plain = ObjectSpace::new(65536, 1024, 512);
-        let mut sharded = ShardedSpace::new(65536, 1024, 512, 1);
-        assert_eq!(script(&mut plain), script(&mut sharded));
-        // Same object indices were handed out, too.
-        assert_eq!(
-            SpaceAccess::live_indices(&mut plain),
-            SpaceAccess::live_indices(&mut sharded)
-        );
     }
 
     #[test]
@@ -1520,13 +1434,14 @@ mod tests {
         // A collector pass over shard 1: walk the live entries and flip
         // every color, twice over — pure color traffic.
         shared.with_shard_gc(1, |s| {
-            let mut refs = Vec::new();
-            s.for_each_live(&mut |i, e| {
-                refs.push(ObjectRef {
-                    index: i,
+            let refs: Vec<ObjectRef> = s
+                .table
+                .iter_live()
+                .map(|(index, e)| ObjectRef {
+                    index,
                     generation: e.generation,
                 })
-            });
+                .collect();
             for r in &refs {
                 s.shade(*r).unwrap();
                 s.set_color(*r, Color::Black).unwrap();

@@ -1,8 +1,10 @@
-//! [`ObjectSpace`]: the combined, checked view of object table + arenas.
+//! [`ObjectSpace`]: one shard's checked view of its object table + arenas.
 //!
 //! Every capability-qualified operation the system performs — data reads
 //! and writes, access-descriptor loads and stores, object creation and
-//! destruction — funnels through this type. It is the emulator's analogue
+//! destruction — funnels through this type, reached through a
+//! [`crate::ShardedSpace`] (one shard is the unsharded space) or its
+//! per-thread [`crate::SpaceAgent`]. It is the emulator's analogue
 //! of the 432's address-translation and AD-qualification microcode, and is
 //! therefore the *single enforcement point* for:
 //!
@@ -18,9 +20,9 @@ use crate::{
     level::Level,
     memory::{AccessArena, DataArena, FreeList},
     object_table::{Entry, ObjectTable},
-    refs::{AccessDescriptor, ObjectIndex, ObjectRef},
+    refs::{AccessDescriptor, ObjectRef},
     rights::Rights,
-    sysobj::{PortState, ProcessState, ProcessorState, SroState, SysState, TdoState},
+    sysobj::{SroState, SysState},
     MAX_ACCESS_SLOTS, MAX_PART_BYTES,
 };
 use serde::{Deserialize, Serialize};
@@ -130,19 +132,17 @@ pub struct ObjectSpace {
     /// Operation counters.
     pub stats: SpaceStats,
     root_sro: ObjectRef,
+    /// Color given to newly created objects: white, except while the
+    /// parallel collector runs (see [`ObjectSpace::set_alloc_color`]).
+    alloc_color: Color,
 }
 
 impl ObjectSpace {
-    /// Builds a space with the given arena sizes and table limit, and
-    /// installs the *root SRO* owning all of both arenas at level 0.
-    pub fn new(data_bytes: u32, access_slots: u32, table_limit: u32) -> ObjectSpace {
-        ObjectSpace::new_interleaved(data_bytes, access_slots, table_limit, 1, 0)
-    }
-
     /// Builds one address-interleaved shard of a larger space: its table
     /// owns the global object indices `offset (mod stride)` and its
-    /// arenas (with their root SRO) are private to the shard. With
-    /// `stride == 1` this is exactly [`ObjectSpace::new`].
+    /// arenas (with their root SRO, owning all of both arenas at level 0)
+    /// are private to the shard. With `stride == 1` the shard is the
+    /// whole space.
     pub fn new_interleaved(
         data_bytes: u32,
         access_slots: u32,
@@ -173,6 +173,7 @@ impl ObjectSpace {
             access: AccessArena::new(access_slots),
             stats: SpaceStats::default(),
             root_sro: root,
+            alloc_color: Color::White,
         }
     }
 
@@ -180,16 +181,6 @@ impl ObjectSpace {
     #[inline]
     pub fn root_sro(&self) -> ObjectRef {
         self.root_sro
-    }
-
-    /// Mints an access descriptor for `r` with the given rights.
-    ///
-    /// This is the *trusted* fabrication path, corresponding to microcode
-    /// and type-manager privilege; ordinary programs only ever receive
-    /// descriptors minted by object creation or derived by restriction.
-    #[inline]
-    pub fn mint(&self, r: ObjectRef, rights: Rights) -> AccessDescriptor {
-        AccessDescriptor::new(r, rights)
     }
 
     /// Checks that `ad` designates a live object and conveys `needed`
@@ -245,11 +236,7 @@ impl ObjectSpace {
         let (data_base, access_base, level) = {
             let entry = self.table.get_mut(sro)?;
             let sro_level = entry.desc.level;
-            let SysState::Sro(state) = &mut entry.sys else {
-                return Err(ArchError::TypeMismatch {
-                    expected: "storage-resource",
-                });
-            };
+            let state = entry.sys.sro_mut()?;
             let level = spec.level.unwrap_or(state.level);
             // Objects cannot be longer-lived than the SRO that holds their
             // storage, except for the root SRO which is immortal anyway.
@@ -289,6 +276,7 @@ impl ObjectSpace {
             level,
         );
         desc.sro = Some(sro);
+        desc.color = self.alloc_color;
         match self.table.install(desc, spec.sys) {
             Ok(r) => {
                 self.stats.objects_created += 1;
@@ -354,12 +342,7 @@ impl ObjectSpace {
             let access_runs: Vec<_> = state.access_free.runs().collect();
             let parent = state.parent;
             if let Some(parent) = parent {
-                let pe = self.table.get_mut(parent)?;
-                let SysState::Sro(pstate) = &mut pe.sys else {
-                    return Err(ArchError::TypeMismatch {
-                        expected: "storage-resource",
-                    });
-                };
+                let pstate = self.table.get_mut(parent)?.sys.sro_mut()?;
                 for run in data_runs {
                     pstate.data_free.release(run.base, run.len)?;
                 }
@@ -373,12 +356,7 @@ impl ObjectSpace {
             self.access.zero(access_base, access_len)?;
         }
         if let Some(sro) = sro {
-            let entry = self.table.get_mut(sro)?;
-            let SysState::Sro(state) = &mut entry.sys else {
-                return Err(ArchError::TypeMismatch {
-                    expected: "storage-resource",
-                });
-            };
+            let state = self.table.get_mut(sro)?.sys.sro_mut()?;
             state.data_free.release(data_base, data_len)?;
             state.access_free.release(access_base, access_len)?;
             state.object_count = state.object_count.saturating_sub(1);
@@ -437,18 +415,6 @@ impl ObjectSpace {
         self.data.write(at, buf)
     }
 
-    /// Reads a 64-bit little-endian word from a data part.
-    pub fn read_u64(&mut self, ad: AccessDescriptor, off: u32) -> ArchResult<u64> {
-        let mut b = [0u8; 8];
-        self.read_data(ad, off, &mut b)?;
-        Ok(u64::from_le_bytes(b))
-    }
-
-    /// Writes a 64-bit little-endian word into a data part.
-    pub fn write_u64(&mut self, ad: AccessDescriptor, off: u32, v: u64) -> ArchResult<()> {
-        self.write_data(ad, off, &v.to_le_bytes())
-    }
-
     // -- Access-part access ---------------------------------------------------
 
     // Access parts are always resident: iMAX's swapping manager swaps
@@ -484,16 +450,6 @@ impl ObjectSpace {
         self.access.get(at)
     }
 
-    /// Loads a slot that must be non-null.
-    pub fn load_ad_required(
-        &mut self,
-        container: AccessDescriptor,
-        slot: u32,
-    ) -> ArchResult<AccessDescriptor> {
-        self.load_ad(container, slot)?
-            .ok_or(ArchError::NullAccess { slot })
-    }
-
     /// Stores an access descriptor (or null) into `slot` of the
     /// container's access part.
     ///
@@ -519,6 +475,22 @@ impl ObjectSpace {
         self.store_ad_commit(at, ad)
     }
 
+    /// [`ObjectSpace::store_ad`] across two shards: the container-side
+    /// checks and the slot write run on `container_shard`, the
+    /// target-side checks and the write barrier on `target_shard`, the
+    /// shard `ad` designates an object of.
+    pub(crate) fn store_ad_across(
+        container_shard: &mut ObjectSpace,
+        target_shard: &mut ObjectSpace,
+        container: AccessDescriptor,
+        slot: u32,
+        ad: AccessDescriptor,
+    ) -> ArchResult<()> {
+        let (at, container_level) = container_shard.store_ad_prepare(container, slot)?;
+        target_shard.store_ad_admit(ad.obj, container_level)?;
+        container_shard.store_ad_commit(at, Some(ad))
+    }
+
     // The AD-store path is decomposed into three steps so a sharded
     // space can run the container-side steps and the target-side step on
     // *different* shards while keeping one copy of the enforcement
@@ -529,7 +501,7 @@ impl ObjectSpace {
     /// Container-side checks of [`ObjectSpace::store_ad`]: write rights
     /// and slot bounds. Returns the arena address of the slot and the
     /// container's level for the target-side level-rule check.
-    pub(crate) fn store_ad_prepare(
+    fn store_ad_prepare(
         &mut self,
         container: AccessDescriptor,
         slot: u32,
@@ -542,11 +514,7 @@ impl ObjectSpace {
     /// Target-side checks of [`ObjectSpace::store_ad`]: liveness, the
     /// level rule against the container's level, and the write barrier.
     /// `target` must live in this shard.
-    pub(crate) fn store_ad_admit(
-        &mut self,
-        target: ObjectRef,
-        container_level: Level,
-    ) -> ArchResult<()> {
+    fn store_ad_admit(&mut self, target: ObjectRef, container_level: Level) -> ArchResult<()> {
         let target_level = self.table.get(target)?.desc.level;
         if !container_level.may_hold(target_level) {
             self.stats.level_faults += 1;
@@ -561,11 +529,7 @@ impl ObjectSpace {
 
     /// Commit step of [`ObjectSpace::store_ad`]: the slot write plus the
     /// store counter, on the container's shard.
-    pub(crate) fn store_ad_commit(
-        &mut self,
-        at: u32,
-        ad: Option<AccessDescriptor>,
-    ) -> ArchResult<()> {
+    fn store_ad_commit(&mut self, at: u32, ad: Option<AccessDescriptor>) -> ArchResult<()> {
         self.stats.ad_stores += 1;
         self.access.set(at, ad)
     }
@@ -594,13 +558,23 @@ impl ObjectSpace {
         self.store_ad_commit(at, ad)
     }
 
-    /// Container-side step of [`ObjectSpace::store_ad_hw`]: bounds check
-    /// only (hardware linkage skips rights and levels).
-    pub(crate) fn store_ad_prepare_hw(
-        &mut self,
+    /// [`ObjectSpace::store_ad_hw`] across two shards, split as in
+    /// [`ObjectSpace::store_ad_across`].
+    pub(crate) fn store_ad_hw_across(
+        container_shard: &mut ObjectSpace,
+        target_shard: &mut ObjectSpace,
         container: ObjectRef,
         slot: u32,
-    ) -> ArchResult<u32> {
+        ad: AccessDescriptor,
+    ) -> ArchResult<()> {
+        let at = container_shard.store_ad_prepare_hw(container, slot)?;
+        target_shard.store_ad_admit_hw(ad.obj)?;
+        container_shard.store_ad_commit(at, Some(ad))
+    }
+
+    /// Container-side step of [`ObjectSpace::store_ad_hw`]: bounds check
+    /// only (hardware linkage skips rights and levels).
+    fn store_ad_prepare_hw(&mut self, container: ObjectRef, slot: u32) -> ArchResult<u32> {
         let e = self.table.get(container)?;
         if slot >= e.desc.access_len {
             return Err(ArchError::AccessBounds {
@@ -613,7 +587,7 @@ impl ObjectSpace {
 
     /// Target-side step of [`ObjectSpace::store_ad_hw`]: liveness plus
     /// the write barrier.
-    pub(crate) fn store_ad_admit_hw(&mut self, target: ObjectRef) -> ArchResult<()> {
+    fn store_ad_admit_hw(&mut self, target: ObjectRef) -> ArchResult<()> {
         self.table.get(target)?;
         self.shade(target)
     }
@@ -662,6 +636,15 @@ impl ObjectSpace {
         Ok(())
     }
 
+    /// Sets the color this shard gives new objects (collector use only).
+    /// Only the parallel collector turns it away from white: while it
+    /// runs, a new object must not be white, or a sweep could reclaim it
+    /// before its creator, on another thread, has stored the first
+    /// access descriptor for it.
+    pub fn set_alloc_color(&mut self, c: Color) {
+        self.alloc_color = c;
+    }
+
     /// Iterates the (possibly null) access slots of an object — the
     /// collector's scan of one object. Returns the live descriptors.
     pub fn scan_access_part(&self, r: ObjectRef) -> ArchResult<Vec<AccessDescriptor>> {
@@ -675,117 +658,6 @@ impl ObjectSpace {
         Ok(out)
     }
 
-    // -- Typed views of interpreted state --------------------------------------
-
-    /// Immutable typed view of a port's interpreted state.
-    pub fn port(&self, r: ObjectRef) -> ArchResult<&PortState> {
-        match &self.table.get(r)?.sys {
-            SysState::Port(p) => Ok(p),
-            _ => Err(ArchError::TypeMismatch { expected: "port" }),
-        }
-    }
-
-    /// Mutable typed view of a port's interpreted state.
-    pub fn port_mut(&mut self, r: ObjectRef) -> ArchResult<&mut PortState> {
-        match &mut self.table.get_mut(r)?.sys {
-            SysState::Port(p) => Ok(p),
-            _ => Err(ArchError::TypeMismatch { expected: "port" }),
-        }
-    }
-
-    /// Immutable typed view of a process's interpreted state.
-    pub fn process(&self, r: ObjectRef) -> ArchResult<&ProcessState> {
-        match &self.table.get(r)?.sys {
-            SysState::Process(p) => Ok(p),
-            _ => Err(ArchError::TypeMismatch {
-                expected: "process",
-            }),
-        }
-    }
-
-    /// Mutable typed view of a process's interpreted state.
-    pub fn process_mut(&mut self, r: ObjectRef) -> ArchResult<&mut ProcessState> {
-        match &mut self.table.get_mut(r)?.sys {
-            SysState::Process(p) => Ok(p),
-            _ => Err(ArchError::TypeMismatch {
-                expected: "process",
-            }),
-        }
-    }
-
-    /// Immutable typed view of a processor's interpreted state.
-    pub fn processor(&self, r: ObjectRef) -> ArchResult<&ProcessorState> {
-        match &self.table.get(r)?.sys {
-            SysState::Processor(p) => Ok(p),
-            _ => Err(ArchError::TypeMismatch {
-                expected: "processor",
-            }),
-        }
-    }
-
-    /// Mutable typed view of a processor's interpreted state.
-    pub fn processor_mut(&mut self, r: ObjectRef) -> ArchResult<&mut ProcessorState> {
-        match &mut self.table.get_mut(r)?.sys {
-            SysState::Processor(p) => Ok(p),
-            _ => Err(ArchError::TypeMismatch {
-                expected: "processor",
-            }),
-        }
-    }
-
-    /// Immutable typed view of an SRO's interpreted state.
-    pub fn sro(&self, r: ObjectRef) -> ArchResult<&SroState> {
-        match &self.table.get(r)?.sys {
-            SysState::Sro(s) => Ok(s),
-            _ => Err(ArchError::TypeMismatch {
-                expected: "storage-resource",
-            }),
-        }
-    }
-
-    /// Mutable typed view of an SRO's interpreted state.
-    pub fn sro_mut(&mut self, r: ObjectRef) -> ArchResult<&mut SroState> {
-        match &mut self.table.get_mut(r)?.sys {
-            SysState::Sro(s) => Ok(s),
-            _ => Err(ArchError::TypeMismatch {
-                expected: "storage-resource",
-            }),
-        }
-    }
-
-    /// Immutable typed view of a type-definition object's state.
-    pub fn tdo(&self, r: ObjectRef) -> ArchResult<&TdoState> {
-        match &self.table.get(r)?.sys {
-            SysState::TypeDef(t) => Ok(t),
-            _ => Err(ArchError::TypeMismatch {
-                expected: "type-definition",
-            }),
-        }
-    }
-
-    /// Mutable typed view of a type-definition object's state.
-    pub fn tdo_mut(&mut self, r: ObjectRef) -> ArchResult<&mut TdoState> {
-        match &mut self.table.get_mut(r)?.sys {
-            SysState::TypeDef(t) => Ok(t),
-            _ => Err(ArchError::TypeMismatch {
-                expected: "type-definition",
-            }),
-        }
-    }
-
-    /// Convenience: returns every live object index (collector sweep
-    /// enumeration).
-    pub fn live_indices(&self) -> Vec<ObjectIndex> {
-        self.table.iter_live().map(|(i, _)| i).collect()
-    }
-
-    /// Placement-independent logical digest of the whole space. Equal
-    /// digests mean equal logical state regardless of allocation order;
-    /// see [`crate::digest::logical_digest`].
-    pub fn digest(&self) -> u64 {
-        crate::digest::logical_digest(self)
-    }
-
     /// Destroys an SRO together with every object allocated from it,
     /// recursing through child SROs.
     ///
@@ -797,7 +669,7 @@ impl ObjectSpace {
     /// reclaimed (including SROs).
     pub fn bulk_destroy_sro(&mut self, sro: ObjectRef) -> ArchResult<u32> {
         // Validate target is a live SRO.
-        self.sro(sro)?;
+        self.table.get(sro)?.sys.sro()?;
         let mut reclaimed = 0;
         // Children first (and recursively, grandchildren). Collect before
         // destroying to keep the borrow checker and iteration honest.
@@ -829,9 +701,10 @@ impl ObjectSpace {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ShardedSpace;
 
-    fn space() -> ObjectSpace {
-        ObjectSpace::new(4096, 512, 256)
+    fn space() -> ShardedSpace {
+        ShardedSpace::new(4096, 512, 256, 1)
     }
 
     #[test]
@@ -874,7 +747,7 @@ mod tests {
             Err(ArchError::RightsViolation { .. })
         ));
         assert!(s.read_u64(ro, 0).is_ok());
-        assert_eq!(s.stats.rights_faults, 1);
+        assert_eq!(s.stats().rights_faults, 1);
     }
 
     #[test]
@@ -914,7 +787,7 @@ mod tests {
         ));
         // The converse is fine.
         s.store_ad(local_ad, 0, Some(global_ad)).unwrap();
-        assert_eq!(s.stats.level_faults, 1);
+        assert_eq!(s.stats().level_faults, 1);
     }
 
     #[test]
@@ -928,10 +801,10 @@ mod tests {
         let b_ad = s.mint(b, Rights::NONE);
         s.store_ad(a_ad, 0, Some(b_ad)).unwrap();
         assert_eq!(s.color_of(b).unwrap(), Color::Gray);
-        assert_eq!(s.stats.barrier_shades, 1);
+        assert_eq!(s.stats().barrier_shades, 1);
         // Storing again does not re-shade a gray object.
         s.store_ad(a_ad, 1, Some(b_ad)).unwrap();
-        assert_eq!(s.stats.barrier_shades, 1);
+        assert_eq!(s.stats().barrier_shades, 1);
     }
 
     #[test]
@@ -961,7 +834,7 @@ mod tests {
 
     #[test]
     fn part_size_limits() {
-        let mut s = ObjectSpace::new(1 << 20, 1 << 16, 64);
+        let mut s = ShardedSpace::new(1 << 20, 1 << 16, 64, 1);
         let root = s.root_sro();
         assert!(matches!(
             s.create_object(root, ObjectSpec::generic(MAX_PART_BYTES + 1, 0)),
@@ -975,7 +848,7 @@ mod tests {
 
     #[test]
     fn exhaustion_rolls_back() {
-        let mut s = ObjectSpace::new(64, 2, 64);
+        let mut s = ShardedSpace::new(64, 2, 64, 1);
         let root = s.root_sro();
         // Data fits but access part cannot: allocation must roll back the
         // data carve.
@@ -1017,7 +890,7 @@ mod tests {
         let mut s = space();
         let root = s.root_sro();
         let r = s.create_object(root, ObjectSpec::generic(8, 1)).unwrap();
-        s.table.get_mut(r).unwrap().desc.absent = true;
+        s.entry_mut(r).unwrap().desc.absent = true;
         let ad = s.mint(r, Rights::ALL);
         assert!(matches!(
             s.read_u64(ad, 0),
@@ -1033,11 +906,11 @@ mod tests {
         let root = s.root_sro();
         let r = s.create_object(root, ObjectSpec::generic(8, 0)).unwrap();
         let ad = s.mint(r, Rights::ALL);
-        assert!(!s.table.get(r).unwrap().desc.accessed);
+        assert!(!s.entry(r).unwrap().desc.accessed);
         s.read_u64(ad, 0).unwrap();
-        assert!(s.table.get(r).unwrap().desc.accessed);
-        assert!(!s.table.get(r).unwrap().desc.dirty);
+        assert!(s.entry(r).unwrap().desc.accessed);
+        assert!(!s.entry(r).unwrap().desc.dirty);
         s.write_u64(ad, 0, 7).unwrap();
-        assert!(s.table.get(r).unwrap().desc.dirty);
+        assert!(s.entry(r).unwrap().desc.dirty);
     }
 }

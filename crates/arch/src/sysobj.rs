@@ -14,6 +14,7 @@
 //! *all* reachable capabilities by walking access parts alone.
 
 use crate::{
+    error::{ArchError, ArchResult},
     level::Level,
     memory::FreeList,
     refs::{CodeRef, NativeId, ObjectRef},
@@ -481,6 +482,95 @@ pub enum SysState {
     Sro(SroState),
     /// Type definition object.
     TypeDef(TdoState),
+}
+
+/// Typed views: the state of one kind of system object, or the type
+/// mismatch fault every typed view of a space reports for any other
+/// object.
+impl SysState {
+    /// The port state.
+    pub fn port(&self) -> ArchResult<&PortState> {
+        match self {
+            SysState::Port(s) => Ok(s),
+            _ => mismatch("port"),
+        }
+    }
+
+    /// Mutable variant of [`SysState::port`].
+    pub fn port_mut(&mut self) -> ArchResult<&mut PortState> {
+        match self {
+            SysState::Port(s) => Ok(s),
+            _ => mismatch("port"),
+        }
+    }
+
+    /// The process state.
+    pub fn process(&self) -> ArchResult<&ProcessState> {
+        match self {
+            SysState::Process(s) => Ok(s),
+            _ => mismatch("process"),
+        }
+    }
+
+    /// Mutable variant of [`SysState::process`].
+    pub fn process_mut(&mut self) -> ArchResult<&mut ProcessState> {
+        match self {
+            SysState::Process(s) => Ok(s),
+            _ => mismatch("process"),
+        }
+    }
+
+    /// The processor state.
+    pub fn processor(&self) -> ArchResult<&ProcessorState> {
+        match self {
+            SysState::Processor(s) => Ok(s),
+            _ => mismatch("processor"),
+        }
+    }
+
+    /// Mutable variant of [`SysState::processor`].
+    pub fn processor_mut(&mut self) -> ArchResult<&mut ProcessorState> {
+        match self {
+            SysState::Processor(s) => Ok(s),
+            _ => mismatch("processor"),
+        }
+    }
+
+    /// The storage-resource state.
+    pub fn sro(&self) -> ArchResult<&SroState> {
+        match self {
+            SysState::Sro(s) => Ok(s),
+            _ => mismatch("storage-resource"),
+        }
+    }
+
+    /// Mutable variant of [`SysState::sro`].
+    pub fn sro_mut(&mut self) -> ArchResult<&mut SroState> {
+        match self {
+            SysState::Sro(s) => Ok(s),
+            _ => mismatch("storage-resource"),
+        }
+    }
+
+    /// The type-definition state.
+    pub fn tdo(&self) -> ArchResult<&TdoState> {
+        match self {
+            SysState::TypeDef(s) => Ok(s),
+            _ => mismatch("type-definition"),
+        }
+    }
+
+    /// Mutable variant of [`SysState::tdo`].
+    pub fn tdo_mut(&mut self) -> ArchResult<&mut TdoState> {
+        match self {
+            SysState::TypeDef(s) => Ok(s),
+            _ => mismatch("type-definition"),
+        }
+    }
+}
+
+fn mismatch<T>(expected: &'static str) -> ArchResult<T> {
+    Err(ArchError::TypeMismatch { expected })
 }
 
 #[cfg(test)]

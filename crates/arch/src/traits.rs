@@ -1,12 +1,13 @@
 //! The capability-kernel boundary: traits through which everything
 //! above the architecture layer reaches object storage.
 //!
-//! [`ObjectSpace`] began life as the single concrete type every crate
-//! mutated directly. Splitting the space into lock-striped shards
-//! (see [`crate::shard`]) forces an interface at exactly the points the
-//! 432 microcode enforced anyway — rights, bounds, the level rule, and
-//! the gray-bit write barrier stay one enforcement point *per shard*,
-//! and callers lose the ability to poke table internals.
+//! There is one implementation behind them: [`ShardedSpace`] for
+//! exclusive owners (a one-shard `ShardedSpace` is the unsharded space)
+//! and its per-thread [`SpaceAgent`] view of a
+//! [`crate::shard::SharedSpace`]. Each shard's [`ObjectSpace`] is the
+//! store underneath, where the checks the 432 microcode made — rights,
+//! bounds, the level rule, and the gray-bit write barrier — are enforced
+//! once, and callers cannot poke table internals.
 //!
 //! Two traits split the surface by locking discipline:
 //!
@@ -22,8 +23,8 @@
 //! * [`SpaceMut`] — **exclusive** access. Adds reference-returning
 //!   views (table entries, typed system-object state, arenas), which
 //!   are only sound while no other thread can reach the space: either
-//!   single-threaded ownership ([`ObjectSpace`],
-//!   [`crate::shard::ShardedSpace`]) or inside an atomic section.
+//!   single-threaded ownership of a [`ShardedSpace`] or inside an
+//!   atomic section.
 //!
 //! Both traits are object-safe; trusted native services receive
 //! `&mut dyn SpaceMut`. The generic conveniences (closures returning
@@ -37,19 +38,24 @@ use crate::{
     object_table::Entry,
     refs::{AccessDescriptor, ObjectIndex, ObjectRef},
     rights::Rights,
-    space::{ObjectSpace, ObjectSpec, SpaceStats},
+    space::{ObjectSpec, SpaceStats},
     sysobj::{PortState, ProcessState, ProcessorState, SroState, SysState, TdoState},
+};
+#[cfg(doc)]
+use crate::{
+    shard::{ShardedSpace, SpaceAgent},
+    space::ObjectSpace,
 };
 
 /// Per-operation checked access to an object space.
 ///
 /// Every method is one atomic unit with respect to other holders of the
 /// same space; implementations over shared shards lock internally. All
-/// checking semantics are exactly those of the corresponding
+/// checking semantics are exactly those of the corresponding per-shard
 /// [`ObjectSpace`] methods — implementations forward to them, so the
 /// enforcement logic exists once.
 ///
-/// Methods take `&mut self` even where `ObjectSpace` offers `&self`:
+/// Methods take `&mut self` even where [`ShardedSpace`] offers `&self`:
 /// a striped implementation must be able to lock.
 pub trait SpaceAccess {
     /// The root storage resource object of shard 0 (the boot shard).
@@ -95,14 +101,14 @@ pub trait SpaceAccess {
     /// See [`ObjectSpace::write_data`].
     fn write_data(&mut self, ad: AccessDescriptor, off: u32, buf: &[u8]) -> ArchResult<()>;
 
-    /// See [`ObjectSpace::read_u64`].
+    /// Reads a 64-bit little-endian word from a data part.
     fn read_u64(&mut self, ad: AccessDescriptor, off: u32) -> ArchResult<u64> {
         let mut b = [0u8; 8];
         self.read_data(ad, off, &mut b)?;
         Ok(u64::from_le_bytes(b))
     }
 
-    /// See [`ObjectSpace::write_u64`].
+    /// Writes a 64-bit little-endian word into a data part.
     fn write_u64(&mut self, ad: AccessDescriptor, off: u32, v: u64) -> ArchResult<()> {
         self.write_data(ad, off, &v.to_le_bytes())
     }
@@ -114,7 +120,7 @@ pub trait SpaceAccess {
         slot: u32,
     ) -> ArchResult<Option<AccessDescriptor>>;
 
-    /// See [`ObjectSpace::load_ad_required`].
+    /// Loads a slot that must be non-null.
     fn load_ad_required(
         &mut self,
         container: AccessDescriptor,
@@ -174,10 +180,6 @@ pub trait SpaceAccess {
         Ok(out)
     }
 
-    /// Every live object index, across all shards. See
-    /// [`ObjectSpace::live_indices`].
-    fn live_indices(&mut self) -> Vec<ObjectIndex>;
-
     /// Operation counters, merged across shards.
     fn stats(&mut self) -> SpaceStats;
 
@@ -211,12 +213,9 @@ pub trait SpaceAccess {
     fn atomic(&mut self, f: &mut dyn FnMut(&mut dyn SpaceMut));
 
     /// The per-space port-ring registry backing the lock-free SEND/RECEIVE
-    /// fast path, when this space has one. The default — and the unsharded
-    /// [`ObjectSpace`] — has none, so the deterministic runner always
-    /// takes the locked rendezvous path.
-    fn port_rings(&self) -> Option<&std::sync::Arc<crate::portring::PortRingRegistry>> {
-        None
-    }
+    /// fast path. It stays disabled unless a runner switches it on, so
+    /// the deterministic runner always takes the locked rendezvous path.
+    fn port_rings(&self) -> &std::sync::Arc<crate::portring::PortRingRegistry>;
 
     /// The current qualification epoch of the shard `r` lives in, when
     /// this space publishes one. Monomorphic inline caches key their
@@ -292,12 +291,7 @@ pub trait SpaceAccessExt: SpaceAccess {
         r: ObjectRef,
         f: impl FnOnce(&ProcessState) -> R,
     ) -> ArchResult<R> {
-        self.entry_view(r, |e| match &e.sys {
-            SysState::Process(p) => Ok(f(p)),
-            _ => Err(ArchError::TypeMismatch {
-                expected: "process",
-            }),
-        })?
+        self.entry_view(r, |e| e.sys.process().map(f))?
     }
 
     /// Updates a process's interpreted state.
@@ -306,12 +300,7 @@ pub trait SpaceAccessExt: SpaceAccess {
         r: ObjectRef,
         f: impl FnOnce(&mut ProcessState) -> R,
     ) -> ArchResult<R> {
-        self.sys_update(r, |sys| match sys {
-            SysState::Process(p) => Ok(f(p)),
-            _ => Err(ArchError::TypeMismatch {
-                expected: "process",
-            }),
-        })?
+        self.sys_update(r, |sys| sys.process_mut().map(f))?
     }
 
     /// Reads a processor's interpreted state.
@@ -320,12 +309,7 @@ pub trait SpaceAccessExt: SpaceAccess {
         r: ObjectRef,
         f: impl FnOnce(&ProcessorState) -> R,
     ) -> ArchResult<R> {
-        self.entry_view(r, |e| match &e.sys {
-            SysState::Processor(p) => Ok(f(p)),
-            _ => Err(ArchError::TypeMismatch {
-                expected: "processor",
-            }),
-        })?
+        self.entry_view(r, |e| e.sys.processor().map(f))?
     }
 
     /// Updates a processor's interpreted state.
@@ -334,30 +318,17 @@ pub trait SpaceAccessExt: SpaceAccess {
         r: ObjectRef,
         f: impl FnOnce(&mut ProcessorState) -> R,
     ) -> ArchResult<R> {
-        self.sys_update(r, |sys| match sys {
-            SysState::Processor(p) => Ok(f(p)),
-            _ => Err(ArchError::TypeMismatch {
-                expected: "processor",
-            }),
-        })?
+        self.sys_update(r, |sys| sys.processor_mut().map(f))?
     }
 
     /// Reads a port's interpreted state.
     fn with_port<R>(&mut self, r: ObjectRef, f: impl FnOnce(&PortState) -> R) -> ArchResult<R> {
-        self.entry_view(r, |e| match &e.sys {
-            SysState::Port(p) => Ok(f(p)),
-            _ => Err(ArchError::TypeMismatch { expected: "port" }),
-        })?
+        self.entry_view(r, |e| e.sys.port().map(f))?
     }
 
     /// Reads an SRO's interpreted state.
     fn with_sro<R>(&mut self, r: ObjectRef, f: impl FnOnce(&SroState) -> R) -> ArchResult<R> {
-        self.entry_view(r, |e| match &e.sys {
-            SysState::Sro(s) => Ok(f(s)),
-            _ => Err(ArchError::TypeMismatch {
-                expected: "storage-resource",
-            }),
-        })?
+        self.entry_view(r, |e| e.sys.sro().map(f))?
     }
 
     /// Updates a type-definition object's interpreted state.
@@ -366,12 +337,7 @@ pub trait SpaceAccessExt: SpaceAccess {
         r: ObjectRef,
         f: impl FnOnce(&mut TdoState) -> R,
     ) -> ArchResult<R> {
-        self.sys_update(r, |sys| match sys {
-            SysState::TypeDef(t) => Ok(f(t)),
-            _ => Err(ArchError::TypeMismatch {
-                expected: "type-definition",
-            }),
-        })?
+        self.sys_update(r, |sys| sys.tdo_mut().map(f))?
     }
 }
 
@@ -406,9 +372,6 @@ pub trait SpaceMut: SpaceAccess {
     /// Visits every live entry with its global index.
     fn for_each_live(&self, f: &mut dyn FnMut(ObjectIndex, &Entry));
 
-    /// Mutable variant of [`SpaceMut::for_each_live`].
-    fn for_each_live_mut(&mut self, f: &mut dyn FnMut(ObjectIndex, &mut Entry));
-
     /// Leaf pages currently allocated across the space's object-table
     /// directories (see [`crate::ObjectTable::leaf_pages`]). The
     /// storage layer's memory budget watches this to notice directory
@@ -419,30 +382,18 @@ pub trait SpaceMut: SpaceAccess {
     /// or [`SpaceMut::index_space_end`] when none remains. Page-granular
     /// (never skips a live entry, may land on a dead one); incremental
     /// sweeps use it to jump dead directory ranges in O(pages), not
-    /// O(indices). The default is the identity — correct, but with no
-    /// skipping.
-    fn next_possibly_live(&self, from: u32) -> u32 {
-        from.min(self.index_space_end())
-    }
+    /// O(indices).
+    fn next_possibly_live(&self, from: u32) -> u32;
 
     /// Visits every live entry with global index in `[start, end)`, in
     /// ascending index order, returning the number of directory leaf
-    /// pages probed. Cost O(live-in-range + pages probed) on paged
-    /// implementations; the default probes every index.
+    /// pages probed. Cost O(live-in-range + pages probed).
     fn for_live_in_range(
         &self,
         start: u32,
         end: u32,
         f: &mut dyn FnMut(ObjectIndex, &Entry),
-    ) -> u32 {
-        for idx in start..end {
-            if let Some(e) = self.entry_by_index(ObjectIndex(idx)) {
-                f(ObjectIndex(idx), e);
-            }
-        }
-        end.saturating_sub(start)
-            .div_ceil(crate::object_table::LEAF_ENTRIES)
-    }
+    ) -> u32;
 
     /// The data arena holding `r`'s data part (the object's shard's
     /// arena; descriptor base addresses are offsets into it).
@@ -460,271 +411,61 @@ pub trait SpaceMut: SpaceAccess {
     /// The stat counters charged for operations on `r`'s shard.
     fn stats_mut_of(&mut self, r: ObjectRef) -> &mut SpaceStats;
 
-    /// See [`ObjectSpace::port`].
-    fn port(&self, r: ObjectRef) -> ArchResult<&PortState>;
-
-    /// See [`ObjectSpace::port_mut`].
-    fn port_mut(&mut self, r: ObjectRef) -> ArchResult<&mut PortState>;
-
-    /// See [`ObjectSpace::process`].
-    fn process(&self, r: ObjectRef) -> ArchResult<&ProcessState>;
-
-    /// See [`ObjectSpace::process_mut`].
-    fn process_mut(&mut self, r: ObjectRef) -> ArchResult<&mut ProcessState>;
-
-    /// See [`ObjectSpace::processor`].
-    fn processor(&self, r: ObjectRef) -> ArchResult<&ProcessorState>;
-
-    /// See [`ObjectSpace::processor_mut`].
-    fn processor_mut(&mut self, r: ObjectRef) -> ArchResult<&mut ProcessorState>;
-
-    /// See [`ObjectSpace::sro`].
-    fn sro(&self, r: ObjectRef) -> ArchResult<&SroState>;
-
-    /// See [`ObjectSpace::sro_mut`].
-    fn sro_mut(&mut self, r: ObjectRef) -> ArchResult<&mut SroState>;
-
-    /// See [`ObjectSpace::tdo`].
-    fn tdo(&self, r: ObjectRef) -> ArchResult<&TdoState>;
-
-    /// See [`ObjectSpace::tdo_mut`].
-    fn tdo_mut(&mut self, r: ObjectRef) -> ArchResult<&mut TdoState>;
-}
-
-// ---------------------------------------------------------------------
-// ObjectSpace: the single-shard implementation. Every method forwards
-// to the inherent one, so trait-generic code and legacy direct callers
-// run the identical checking path.
-// ---------------------------------------------------------------------
-
-impl SpaceAccess for ObjectSpace {
-    fn root_sro(&self) -> ObjectRef {
-        ObjectSpace::root_sro(self)
-    }
-
-    fn root_sro_of(&self, _shard: u32) -> ObjectRef {
-        ObjectSpace::root_sro(self)
-    }
-
-    fn shard_count(&self) -> u32 {
-        1
-    }
-
-    fn qualify(&mut self, ad: AccessDescriptor, needed: Rights) -> ArchResult<ObjectRef> {
-        ObjectSpace::qualify(self, ad, needed)
-    }
-
-    fn expect_type(&mut self, ad: AccessDescriptor, t: SystemType) -> ArchResult<ObjectRef> {
-        ObjectSpace::expect_type(self, ad, t)
-    }
-
-    fn create_object(&mut self, sro: ObjectRef, spec: ObjectSpec) -> ArchResult<ObjectRef> {
-        ObjectSpace::create_object(self, sro, spec)
-    }
-
-    fn destroy_object(&mut self, r: ObjectRef) -> ArchResult<Entry> {
-        ObjectSpace::destroy_object(self, r)
-    }
-
-    fn bulk_destroy_sro(&mut self, sro: ObjectRef) -> ArchResult<u32> {
-        ObjectSpace::bulk_destroy_sro(self, sro)
-    }
-
-    fn read_data(&mut self, ad: AccessDescriptor, off: u32, buf: &mut [u8]) -> ArchResult<()> {
-        ObjectSpace::read_data(self, ad, off, buf)
-    }
-
-    fn write_data(&mut self, ad: AccessDescriptor, off: u32, buf: &[u8]) -> ArchResult<()> {
-        ObjectSpace::write_data(self, ad, off, buf)
-    }
-
-    fn load_ad(
-        &mut self,
-        container: AccessDescriptor,
-        slot: u32,
-    ) -> ArchResult<Option<AccessDescriptor>> {
-        ObjectSpace::load_ad(self, container, slot)
-    }
-
-    fn store_ad(
-        &mut self,
-        container: AccessDescriptor,
-        slot: u32,
-        ad: Option<AccessDescriptor>,
-    ) -> ArchResult<()> {
-        ObjectSpace::store_ad(self, container, slot, ad)
-    }
-
-    fn store_ad_hw(
-        &mut self,
-        container: ObjectRef,
-        slot: u32,
-        ad: Option<AccessDescriptor>,
-    ) -> ArchResult<()> {
-        ObjectSpace::store_ad_hw(self, container, slot, ad)
-    }
-
-    fn load_ad_hw(
-        &mut self,
-        container: ObjectRef,
-        slot: u32,
-    ) -> ArchResult<Option<AccessDescriptor>> {
-        ObjectSpace::load_ad_hw(self, container, slot)
-    }
-
-    fn shade(&mut self, r: ObjectRef) -> ArchResult<()> {
-        ObjectSpace::shade(self, r)
-    }
-
-    fn color_of(&mut self, r: ObjectRef) -> ArchResult<Color> {
-        ObjectSpace::color_of(self, r)
-    }
-
-    fn set_color(&mut self, r: ObjectRef, c: Color) -> ArchResult<()> {
-        ObjectSpace::set_color(self, r, c)
-    }
-
-    fn scan_access_part(&mut self, r: ObjectRef) -> ArchResult<Vec<AccessDescriptor>> {
-        ObjectSpace::scan_access_part(self, r)
-    }
-
-    fn live_indices(&mut self) -> Vec<ObjectIndex> {
-        ObjectSpace::live_indices(self)
-    }
-
-    fn stats(&mut self) -> SpaceStats {
-        self.stats
-    }
-
-    fn with_entry(&mut self, r: ObjectRef, f: &mut dyn FnMut(&Entry)) -> ArchResult<()> {
-        f(self.table.get(r)?);
-        Ok(())
-    }
-
-    fn with_entry_mut(&mut self, r: ObjectRef, f: &mut dyn FnMut(&mut Entry)) -> ArchResult<()> {
-        f(self.table.get_mut(r)?);
-        Ok(())
-    }
-
-    fn atomic(&mut self, f: &mut dyn FnMut(&mut dyn SpaceMut)) {
-        f(self)
-    }
-}
-
-impl SpaceMut for ObjectSpace {
-    fn entry(&self, r: ObjectRef) -> ArchResult<&Entry> {
-        self.table.get(r)
-    }
-
-    fn entry_mut(&mut self, r: ObjectRef) -> ArchResult<&mut Entry> {
-        self.table.get_mut(r)
-    }
-
-    fn entry_by_index(&self, i: ObjectIndex) -> Option<&Entry> {
-        self.table.get_by_index(i)
-    }
-
-    fn ref_for(&self, i: ObjectIndex) -> ArchResult<ObjectRef> {
-        self.table.ref_for(i)
-    }
-
-    fn index_space_end(&self) -> u32 {
-        self.table.index_space_end()
-    }
-
-    fn live_count(&self) -> u32 {
-        self.table.live_count()
-    }
-
-    fn for_each_live(&self, f: &mut dyn FnMut(ObjectIndex, &Entry)) {
-        for (i, e) in self.table.iter_live() {
-            f(i, e);
-        }
-    }
-
-    fn for_each_live_mut(&mut self, f: &mut dyn FnMut(ObjectIndex, &mut Entry)) {
-        for (i, e) in self.table.iter_live_mut() {
-            f(i, e);
-        }
-    }
-
-    fn leaf_pages(&self) -> u32 {
-        self.table.leaf_pages()
-    }
-
-    fn next_possibly_live(&self, from: u32) -> u32 {
-        self.table.next_live_index_hint(from)
-    }
-
-    fn for_live_in_range(
-        &self,
-        start: u32,
-        end: u32,
-        f: &mut dyn FnMut(ObjectIndex, &Entry),
-    ) -> u32 {
-        self.table.for_live_in_range(start, end, f)
-    }
-
-    fn data_arena(&self, _r: ObjectRef) -> ArchResult<&DataArena> {
-        Ok(&self.data)
-    }
-
-    fn data_arena_mut(&mut self, _r: ObjectRef) -> ArchResult<&mut DataArena> {
-        Ok(&mut self.data)
-    }
-
-    fn access_arena(&self, _r: ObjectRef) -> ArchResult<&AccessArena> {
-        Ok(&self.access)
-    }
-
-    fn stats_mut_of(&mut self, _r: ObjectRef) -> &mut SpaceStats {
-        &mut self.stats
-    }
-
+    /// See [`SysState::port`].
     fn port(&self, r: ObjectRef) -> ArchResult<&PortState> {
-        ObjectSpace::port(self, r)
+        self.entry(r)?.sys.port()
     }
 
+    /// See [`SysState::port_mut`].
     fn port_mut(&mut self, r: ObjectRef) -> ArchResult<&mut PortState> {
-        ObjectSpace::port_mut(self, r)
+        self.entry_mut(r)?.sys.port_mut()
     }
 
+    /// See [`SysState::process`].
     fn process(&self, r: ObjectRef) -> ArchResult<&ProcessState> {
-        ObjectSpace::process(self, r)
+        self.entry(r)?.sys.process()
     }
 
+    /// See [`SysState::process_mut`].
     fn process_mut(&mut self, r: ObjectRef) -> ArchResult<&mut ProcessState> {
-        ObjectSpace::process_mut(self, r)
+        self.entry_mut(r)?.sys.process_mut()
     }
 
+    /// See [`SysState::processor`].
     fn processor(&self, r: ObjectRef) -> ArchResult<&ProcessorState> {
-        ObjectSpace::processor(self, r)
+        self.entry(r)?.sys.processor()
     }
 
+    /// See [`SysState::processor_mut`].
     fn processor_mut(&mut self, r: ObjectRef) -> ArchResult<&mut ProcessorState> {
-        ObjectSpace::processor_mut(self, r)
+        self.entry_mut(r)?.sys.processor_mut()
     }
 
+    /// See [`SysState::sro`].
     fn sro(&self, r: ObjectRef) -> ArchResult<&SroState> {
-        ObjectSpace::sro(self, r)
+        self.entry(r)?.sys.sro()
     }
 
+    /// See [`SysState::sro_mut`].
     fn sro_mut(&mut self, r: ObjectRef) -> ArchResult<&mut SroState> {
-        ObjectSpace::sro_mut(self, r)
+        self.entry_mut(r)?.sys.sro_mut()
     }
 
+    /// See [`SysState::tdo`].
     fn tdo(&self, r: ObjectRef) -> ArchResult<&TdoState> {
-        ObjectSpace::tdo(self, r)
+        self.entry(r)?.sys.tdo()
     }
 
+    /// See [`SysState::tdo_mut`].
     fn tdo_mut(&mut self, r: ObjectRef) -> ArchResult<&mut TdoState> {
-        ObjectSpace::tdo_mut(self, r)
+        self.entry_mut(r)?.sys.tdo_mut()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::shard::ShardedSpace;
 
     // A function generic over the per-op boundary, exercised both with a
     // concrete space and with the `dyn SpaceMut` view an atomic section
@@ -742,10 +483,10 @@ mod tests {
 
     #[test]
     fn generic_path_matches_inherent_semantics() {
-        let mut s = ObjectSpace::new(4096, 512, 256);
+        let mut s = ShardedSpace::new(4096, 512, 256, 1);
         let a = make_and_link(&mut s).unwrap();
         let ad = AccessDescriptor::new(a, Rights::READ);
-        assert_eq!(ObjectSpace::read_u64(&mut s, ad, 0).unwrap(), 42);
+        assert_eq!(ShardedSpace::read_u64(&mut s, ad, 0).unwrap(), 42);
         let st = SpaceAccess::stats(&mut s);
         assert_eq!(st.objects_created, 2);
         assert_eq!(st.ad_stores, 1);
@@ -754,7 +495,7 @@ mod tests {
 
     #[test]
     fn atomic_section_exposes_space_mut() {
-        let mut s = ObjectSpace::new(4096, 512, 256);
+        let mut s = ShardedSpace::new(4096, 512, 256, 1);
         let a = s.atomically(|sm| {
             let a = make_and_link(sm).unwrap();
             assert!(sm.entry(a).is_ok());
@@ -766,7 +507,7 @@ mod tests {
 
     #[test]
     fn typed_closures_reject_wrong_sys_state() {
-        let mut s = ObjectSpace::new(4096, 512, 256);
+        let mut s = ShardedSpace::new(4096, 512, 256, 1);
         let root = s.root_sro();
         let r = s.create_object(root, ObjectSpec::generic(0, 0)).unwrap();
         assert!(s.with_process(r, |_| ()).is_err());

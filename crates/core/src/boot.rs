@@ -409,6 +409,28 @@ mod tests {
         );
     }
 
+    /// The null policy and the §7.3 level helpers act on the booted
+    /// system's own space: release-1 defaults (`SchedulingChoice::Null`)
+    /// hand every caller the scheduler in `imax.scheduler`.
+    #[test]
+    fn null_scheduler_and_system_levels_act_on_the_booted_space() {
+        use crate::levels::{set_system_level, system_level, SysLevel};
+        let mut imax = Imax::boot(&ImaxConfig::development());
+        let dom = worker(&mut imax, 1);
+        let p = imax.spawn_program(dom, 0, None);
+        let Scheduler::Null(null) = &imax.scheduler else {
+            panic!("release-1 defaults select the null policy");
+        };
+        null.set_priority(&mut imax.sys.space, p, 9).unwrap();
+        null.set_timeslice(&mut imax.sys.space, p, 777).unwrap();
+        let ps = imax.sys.space.process(p).unwrap();
+        assert_eq!((ps.priority, ps.timeslice), (9, 777));
+        assert!(ps.slice_remaining <= 777);
+
+        set_system_level(&mut imax.sys.space, p, SysLevel::Level2).unwrap();
+        assert_eq!(system_level(&imax.sys.space, p).unwrap(), SysLevel::Level2);
+    }
+
     #[test]
     fn programs_create_ports_via_service_call() {
         let mut imax = Imax::boot(&ImaxConfig::embedded());

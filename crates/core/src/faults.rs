@@ -112,11 +112,11 @@ pub fn make_fault_port<S: SpaceMut + ?Sized>(space: &mut S, sro: ObjectRef) -> R
 mod tests {
     use super::*;
     use i432_arch::{
-        Level, ObjectSpace, ObjectSpec, ObjectType, ProcessState, Rights, SysState, SystemType,
+        Level, ObjectSpec, ObjectType, ProcessState, Rights, ShardedSpace, SysState, SystemType,
     };
     use imax_storage::{FrozenManager, SwappingManager};
 
-    fn faulted_process(space: &mut ObjectSpace, code: u16, aux: u64) -> ObjectRef {
+    fn faulted_process(space: &mut ShardedSpace, code: u16, aux: u64) -> ObjectRef {
         let root = space.root_sro();
         let mut st = ProcessState::new(Level(0));
         st.status = ProcessStatus::Faulted;
@@ -144,7 +144,7 @@ mod tests {
 
     #[test]
     fn unrecoverable_fault_terminates() {
-        let mut space = ObjectSpace::new(64 * 1024, 4096, 512);
+        let mut space = ShardedSpace::new(64 * 1024, 4096, 512, 1);
         let root = space.root_sro();
         let fport = make_fault_port(&mut space, root).unwrap();
         let p = faulted_process(&mut space, FaultKind::DivideByZero.code(), 0);
@@ -160,7 +160,7 @@ mod tests {
 
     #[test]
     fn swap_fault_repairs_and_restarts() {
-        let mut space = ObjectSpace::new(64 * 1024, 4096, 512);
+        let mut space = ShardedSpace::new(64 * 1024, 4096, 512, 1);
         let root = space.root_sro();
         let fport = make_fault_port(&mut space, root).unwrap();
         let mut mgr = SwappingManager::new();
@@ -170,7 +170,7 @@ mod tests {
             .create_object(root, ObjectSpec::generic(64, 0))
             .unwrap();
         mgr.swap_out(&mut space, obj).unwrap();
-        assert!(space.table.get(obj).unwrap().desc.absent);
+        assert!(space.entry(obj).unwrap().desc.absent);
 
         let p = faulted_process(
             &mut space,
@@ -182,14 +182,14 @@ mod tests {
 
         let outcomes = service_faults(&mut space, fport, &mut mgr).unwrap();
         assert!(matches!(&outcomes[0], FaultDisposition::Restarted { .. }));
-        assert!(!space.table.get(obj).unwrap().desc.absent, "swapped back");
+        assert!(!space.entry(obj).unwrap().desc.absent, "swapped back");
         assert_eq!(space.process(p).unwrap().status, ProcessStatus::Ready);
         assert_eq!(space.process(p).unwrap().fault_code, 0);
     }
 
     #[test]
     fn empty_port_is_a_noop() {
-        let mut space = ObjectSpace::new(16 * 1024, 2048, 256);
+        let mut space = ShardedSpace::new(16 * 1024, 2048, 256, 1);
         let root = space.root_sro();
         let fport = make_fault_port(&mut space, root).unwrap();
         let mut mgr = FrozenManager::new();

@@ -280,11 +280,11 @@ impl StatsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use i432_arch::{ObjectSpace, ObjectSpec, PortDiscipline, Rights};
+    use i432_arch::{ObjectSpec, PortDiscipline, Rights, ShardedSpace};
     use imax_ipc::create_port;
 
-    fn populated_space() -> (ObjectSpace, ObjectRef) {
-        let mut s = ObjectSpace::new(64 * 1024, 8 * 1024, 1024);
+    fn populated_space() -> (ShardedSpace, ObjectRef) {
+        let mut s = ShardedSpace::new(64 * 1024, 8 * 1024, 1024, 1);
         let root_sro = s.root_sro();
         let port = create_port(&mut s, root_sro, 4, PortDiscipline::Fifo).unwrap();
         let a = s
@@ -315,7 +315,7 @@ mod tests {
     #[test]
     fn graph_dump_handles_cycles() {
         let (mut s, a) = populated_space();
-        let root = s.table.ref_for(a.index).unwrap();
+        let root = s.ref_for(a.index).unwrap();
         let dump = graph_dump(&mut s, root, 5);
         assert!(dump.contains("generic"));
         assert!(dump.contains('^'), "cycle marker present:\n{dump}");

@@ -13,7 +13,7 @@
 //! permitted_at`); this module gives them names, assignment helpers, and
 //! the level-2→3 asynchrony check used when system services are wired up.
 
-use i432_arch::{ObjectRef, ObjectSpace};
+use i432_arch::{ObjectRef, SpaceMut};
 use i432_gdp::Fault;
 
 /// The iMAX system levels.
@@ -59,8 +59,8 @@ impl SysLevel {
 }
 
 /// Assigns a process's system level.
-pub fn set_system_level(
-    space: &mut ObjectSpace,
+pub fn set_system_level<S: SpaceMut + ?Sized>(
+    space: &mut S,
     process: ObjectRef,
     level: SysLevel,
 ) -> Result<(), Fault> {
@@ -69,7 +69,10 @@ pub fn set_system_level(
 }
 
 /// Reads a process's system level.
-pub fn system_level(space: &ObjectSpace, process: ObjectRef) -> Result<SysLevel, Fault> {
+pub fn system_level<S: SpaceMut + ?Sized>(
+    space: &S,
+    process: ObjectRef,
+) -> Result<SysLevel, Fault> {
     Ok(SysLevel::from_number(
         space.process(process).map_err(Fault::from)?.sys_level,
     ))

@@ -23,8 +23,8 @@ pub use crate::{
     SchedulingChoice, StorageChoice, SysLevel,
 };
 pub use i432_arch::{
-    AccessDescriptor, Level, ObjectRef, ObjectSpace, ObjectSpec, PortDiscipline, ProcessStatus,
-    Rights,
+    AccessDescriptor, Level, ObjectRef, ObjectSpec, PortDiscipline, ProcessStatus, Rights,
+    ShardedSpace,
 };
 pub use i432_gdp::{
     isa::{AluOp, DataDst, DataRef, Instruction},

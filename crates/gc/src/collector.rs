@@ -327,12 +327,12 @@ pub(crate) fn reclaim_or_finalize<S: SpaceMut + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use i432_arch::{ObjectSpace, ObjectSpec, ProcessorState, Rights};
+    use i432_arch::{ObjectSpec, ProcessorState, Rights, ShardedSpace};
 
     /// A space with one processor whose root-directory slot anchors a
     /// "keep" object.
-    fn space_with_anchor() -> (ObjectSpace, ObjectRef, ObjectRef) {
-        let mut s = ObjectSpace::new(64 * 1024, 4096, 1024);
+    fn space_with_anchor() -> (ShardedSpace, ObjectRef, ObjectRef) {
+        let mut s = ShardedSpace::new(64 * 1024, 4096, 1024, 1);
         let root = s.root_sro();
         let cpu = s
             .create_object(
@@ -368,8 +368,8 @@ mod tests {
         let mut gc = Collector::new();
         gc.collect_full(&mut s).unwrap();
 
-        assert!(s.table.get(kept).is_ok(), "reachable object survived");
-        assert!(s.table.get(garbage).is_err(), "garbage reclaimed");
+        assert!(s.entry(kept).is_ok(), "reachable object survived");
+        assert!(s.entry(garbage).is_err(), "garbage reclaimed");
         assert_eq!(gc.stats.reclaimed, 1);
         assert_eq!(gc.stats.cycles, 1);
     }
@@ -391,7 +391,7 @@ mod tests {
         let mut gc = Collector::new();
         gc.collect_full(&mut s).unwrap();
         for o in chain {
-            assert!(s.table.get(o).is_ok());
+            assert!(s.entry(o).is_ok());
         }
     }
 
@@ -405,11 +405,11 @@ mod tests {
         s.store_ad(anchor_ad, 0, Some(o_ad)).unwrap();
         let mut gc = Collector::new();
         gc.collect_full(&mut s).unwrap();
-        assert!(s.table.get(o).is_ok());
+        assert!(s.entry(o).is_ok());
         // Drop the reference; the next cycle reclaims.
         s.store_ad(anchor_ad, 0, None).unwrap();
         gc.collect_full(&mut s).unwrap();
-        assert!(s.table.get(o).is_err());
+        assert!(s.entry(o).is_err());
     }
 
     #[test]
@@ -435,7 +435,7 @@ mod tests {
             gc.step(&mut s).unwrap();
         }
         assert!(
-            s.table.get(hidden).is_ok(),
+            s.entry(hidden).is_ok(),
             "the write barrier must protect concurrently-stored objects"
         );
     }
@@ -448,7 +448,7 @@ mod tests {
         assert_eq!(s.color_of(anchor).unwrap(), Color::White);
         // A second cycle still keeps the anchor.
         gc.collect_full(&mut s).unwrap();
-        assert!(s.table.get(anchor).is_ok());
+        assert!(s.entry(anchor).is_ok());
         assert_eq!(gc.stats.cycles, 2);
     }
 
@@ -468,8 +468,8 @@ mod tests {
         // conservative on-the-fly behaviour), a second reclaims.
         gc.collect_full(&mut s).unwrap();
         gc.collect_full(&mut s).unwrap();
-        assert!(s.table.get(a).is_err());
-        assert!(s.table.get(b).is_err());
+        assert!(s.entry(a).is_err());
+        assert!(s.entry(b).is_err());
     }
 
     #[test]
@@ -487,8 +487,8 @@ mod tests {
         let mut gc = Collector::new();
         gc.collect_full(&mut s).unwrap();
         // Inner object reclaimed in cycle 1; the SRO may need cycle 2.
-        assert!(s.table.get(inner).is_err());
+        assert!(s.entry(inner).is_err());
         gc.collect_full(&mut s).unwrap();
-        assert!(s.table.get(sro).is_err());
+        assert!(s.entry(sro).is_err());
     }
 }

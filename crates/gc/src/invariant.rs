@@ -62,11 +62,11 @@ mod tests {
     use crate::{Collector, GcPhase};
     use i432_arch::{
         sysobj::{CPU_ACCESS_SLOTS, CPU_SLOT_ROOT},
-        ObjectSpace, ObjectSpec, ObjectType, ProcessorState, Rights, SysState, SystemType,
+        ObjectSpec, ObjectType, ProcessorState, Rights, ShardedSpace, SysState, SystemType,
     };
 
-    fn space_with_anchor() -> (ObjectSpace, ObjectRef) {
-        let mut s = ObjectSpace::new(64 * 1024, 4096, 1024);
+    fn space_with_anchor() -> (ShardedSpace, ObjectRef) {
+        let mut s = ShardedSpace::new(64 * 1024, 4096, 1024, 1);
         let root = s.root_sro();
         let cpu = s
             .create_object(

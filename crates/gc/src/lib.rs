@@ -9,7 +9,7 @@
 //! system."
 //!
 //! * The **write barrier** lives in the hardware layer
-//!   (`i432_arch::ObjectSpace::store_ad` and the linkage stores): every
+//!   (`i432_arch::ShardedSpace::store_ad` and the linkage stores): every
 //!   access-descriptor move shades its target gray.
 //! * [`collector`] — the incremental tricolor mark/sweep state machine.
 //!   Mark propagates gray until a whole-table verification scan finds no

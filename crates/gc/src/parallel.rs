@@ -17,10 +17,10 @@
 //!
 //! 1. **Root scan** (per shard, incremental): worker `k` walks shard
 //!    `k`'s live directory leaf pages in bounded chunks
-//!    ([`i432_arch::SpaceMut::for_live_in_range`] under the shard lock,
-//!    released between chunks), shading the shard's root SRO and every
-//!    processor object it finds, and pushing them onto its own gray
-//!    deque. Worker 0 additionally shades
+//!    ([`i432_arch::ObjectTable::for_live_in_range`] under the shard
+//!    lock, released between chunks), shading the shard's root SRO and
+//!    every processor object it finds, and pushing them onto its own
+//!    gray deque. Worker 0 additionally shades
 //!    [`GcConfig::extra_roots`].
 //! 2. **Mark** (work-stealing): each worker drains its own
 //!    [`GrayDeque`], stealing from the other shards' deques when empty
@@ -47,6 +47,30 @@
 //!    with mutators and cross-shard bookkeeping (SRO charge, TDO
 //!    counts, filter-port delivery) is exact.
 //!
+//! ## References held between lock holds
+//!
+//! On the threaded runner an instruction takes one shard-lock hold per
+//! space operation, so a processor can hold an access descriptor only
+//! in host state between two holds: CREATE between creating an object
+//! and storing its AD, RECEIVE between dequeuing a message and storing
+//! it. No table scan sees such a reference, and a processor waiting on
+//! a lock the collector keeps taking can stay there for a whole cycle.
+//! Three rules keep those objects alive:
+//!
+//! * **Handshake before every verification pass.** The barrier leader
+//!   waits on the runner's [`Handshake`] until every GDP thread has
+//!   passed an instruction-step boundary, so each such reference has
+//!   been stored — and shaded by the barrier — before the pass that may
+//!   end marking.
+//! * **Gray allocation.** From its first root scan until it stops, the
+//!   collector has every shard allocate gray
+//!   ([`i432_arch::ObjectSpace::set_alloc_color`], set under the shard
+//!   lock), so an object created after the last handshake is not white
+//!   at the sweep. The deterministic runner and the serial
+//!   [`crate::Collector`] never touch it, so they allocate white.
+//! * **Re-read at reclaim.** The atomic section that reclaims a white
+//!   candidate re-reads its color first.
+//!
 //! The unconditional gray-bit write barrier keeps feeding grays while
 //! all of this runs; the two-cycle laundering it causes (a finished
 //! wave's objects are gray, so cycle 1 launders them black→white and
@@ -56,9 +80,10 @@
 use crate::collector::{reclaim_or_finalize, GcConfig, GcStats};
 use crate::gray::GrayDeque;
 use i432_arch::{
-    Color, ObjectRef, ObjectType, SharedSpace, SpaceAccess, SpaceAccessExt, SpaceMut, SystemType,
+    Color, ObjectRef, ObjectSpace, ObjectType, SharedSpace, SpaceAccess, SpaceAccessExt, SpaceMut,
+    SystemType,
 };
-use i432_sim::{run_threaded, AuxWorker, RunConfig, System, ThreadedOutcome};
+use i432_sim::{run_threaded, AuxWorker, Handshake, RunConfig, System, ThreadedOutcome};
 use i432_trace::EventKind;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
@@ -247,8 +272,9 @@ impl ParallelGc {
                     let mut agent = shared.agent();
                     let mut local_cycles = gc.cycles.load(Ordering::Acquire);
                     for _ in 0..cycles {
-                        gc.run_cycle(shared, k, &mut agent, &mut local_cycles);
+                        gc.run_cycle(shared, k, &mut agent, None, &mut local_cycles);
                     }
+                    set_alloc_color(shared, k, Color::White);
                 });
             }
         });
@@ -262,15 +288,15 @@ impl ParallelGc {
         (0..self.shards)
             .map(|k| {
                 let gc = Arc::clone(self);
-                let b: AuxWorker = Box::new(move |shared, done| {
-                    gc.worker_loop(shared, k, done);
+                let b: AuxWorker = Box::new(move |shared, done, handshake| {
+                    gc.worker_loop(shared, k, done, handshake);
                 });
                 b
             })
             .collect()
     }
 
-    fn worker_loop(&self, shared: &SharedSpace, k: u32, done: &AtomicBool) {
+    fn worker_loop(&self, shared: &SharedSpace, k: u32, done: &AtomicBool, handshake: &Handshake) {
         assert_eq!(shared.shard_count(), self.shards);
         i432_trace::set_context(GC_TRACE_CPU_BASE + k as u16, 0);
         let mut agent = shared.agent();
@@ -282,24 +308,53 @@ impl ParallelGc {
             }
             self.barrier.wait();
             if !self.go.load(Ordering::Acquire) {
+                set_alloc_color(shared, k, Color::White);
                 return;
             }
-            self.run_cycle(shared, k, &mut agent, &mut local_cycles);
+            self.run_cycle(shared, k, &mut agent, Some(handshake), &mut local_cycles);
         }
     }
 
     /// One full cycle for worker `k`. All workers must call this the
     /// same number of times (barrier discipline); `local_cycles` is the
     /// worker's own completed-cycle count, identical across workers.
+    /// `mutators` is the threaded runner's handshake when the cycle
+    /// runs beside GDP threads.
     fn run_cycle(
         &self,
         shared: &SharedSpace,
         k: u32,
         agent: &mut i432_arch::SpaceAgent<'_>,
+        mutators: Option<&Handshake>,
         local_cycles: &mut u64,
     ) {
         // ---- Root scan (every worker emits its own phase marker).
         i432_trace::emit(EventKind::GcPhaseMark, *local_cycles as u32);
+        self.root_scan(shared, k, agent);
+        self.mark(shared, k, agent, mutators);
+
+        // ---- Sweep (mark globally terminated; all workers arrive here
+        // together off the same barrier observation).
+        i432_trace::emit(EventKind::GcPhaseSweep, *local_cycles as u32);
+        self.sweep_shard(shared, k, agent);
+
+        // ---- Cycle close: nobody starts the next root scan while a
+        // shard is still sweeping (a new cycle's marker blackening an
+        // object that an old cycle's sweeper then whitens would break
+        // the invariant).
+        self.barrier.wait();
+        *local_cycles += 1;
+        i432_trace::emit(EventKind::GcPhaseIdle, *local_cycles as u32);
+        if self.barrier.wait().is_leader() {
+            self.cycles.fetch_add(1, Ordering::Release);
+        }
+    }
+
+    /// Root scan of shard `k`: gray allocation on, then the shard's root
+    /// SRO, processors and ring-resident messages shaded and pushed
+    /// (worker 0 adds [`GcConfig::extra_roots`]).
+    fn root_scan(&self, shared: &SharedSpace, k: u32, agent: &mut i432_arch::SpaceAgent<'_>) {
+        set_alloc_color(shared, k, Color::Gray);
         let root = agent.root_sro_of(k);
         let _ = agent.shade(root);
         self.push_own(k, root);
@@ -323,13 +378,28 @@ impl ParallelGc {
         // publication *during* a cycle; this scan covers residency
         // *across* cycles. Worker k covers its own shard's ports.
         self.scan_rings(k, agent);
+    }
 
-        // ---- Mark + verification rounds.
+    /// Mark + verification rounds: drain, then rescan every shard for
+    /// grays until a full barrier-aligned pass finds none. Each pass
+    /// starts after a handshake with the `mutators`, so no reference a
+    /// processor held only in host state is missing from the table it
+    /// scans (see [`Handshake`]).
+    fn mark(
+        &self,
+        shared: &SharedSpace,
+        k: u32,
+        agent: &mut i432_arch::SpaceAgent<'_>,
+        mutators: Option<&Handshake>,
+    ) {
         self.drain(k, agent);
         loop {
             if self.barrier.wait().is_leader() {
                 self.gray_found.store(false, Ordering::Release);
                 self.verification_passes.fetch_add(1, Ordering::Relaxed);
+                if let Some(h) = mutators {
+                    h.wait();
+                }
             }
             self.barrier.wait();
             if self.scan_shard(shared, k, |e| e.desc.color == Color::Gray) {
@@ -340,22 +410,6 @@ impl ParallelGc {
                 break;
             }
             self.drain(k, agent);
-        }
-
-        // ---- Sweep (mark globally terminated; all workers arrive here
-        // together off the same barrier observation).
-        i432_trace::emit(EventKind::GcPhaseSweep, *local_cycles as u32);
-        self.sweep_shard(shared, k, agent);
-
-        // ---- Cycle close: nobody starts the next root scan while a
-        // shard is still sweeping (a new cycle's marker blackening an
-        // object that an old cycle's sweeper then whitens would break
-        // the invariant).
-        self.barrier.wait();
-        *local_cycles += 1;
-        i432_trace::emit(EventKind::GcPhaseIdle, *local_cycles as u32);
-        if self.barrier.wait().is_leader() {
-            self.cycles.fetch_add(1, Ordering::Release);
         }
     }
 
@@ -372,10 +426,7 @@ impl ParallelGc {
     /// skipped: their messages died with the port, exactly as
     /// area-resident messages would have.
     fn scan_rings(&self, k: u32, agent: &mut i432_arch::SpaceAgent<'_>) {
-        let Some(reg) = agent.port_rings() else {
-            return;
-        };
-        let reg = Arc::clone(reg);
+        let reg = Arc::clone(agent.port_rings());
         let shards = self.deques.len() as u32;
         reg.for_each(|ring| {
             if ring.is_dead() || ring.port().index.0 % shards != k {
@@ -404,14 +455,14 @@ impl ParallelGc {
         let mut any = false;
         loop {
             let (batch, next) = shared.with_shard_gc(k, |s| {
-                let end = s.index_space_end();
-                let start = s.next_possibly_live(cur);
+                let end = s.table.index_space_end();
+                let start = s.table.next_live_index_hint(cur);
                 if start >= end {
                     return (Vec::new(), None);
                 }
                 let hi = start.saturating_add(self.chunk).min(end);
                 let mut batch = Vec::new();
-                s.for_live_in_range(start, hi, &mut |i, e| {
+                s.table.for_live_in_range(start, hi, &mut |i, e| {
                     if pred(e) {
                         batch.push(ObjectRef {
                             index: i,
@@ -508,10 +559,10 @@ impl ParallelGc {
         i432_trace::bump(i432_trace::Counter::GcParMarkSteps);
     }
 
-    /// Sweeps shard `k` incrementally: capture a chunk under the shard
-    /// lock, whiten survivors under the shard lock (color-only — no
-    /// epoch bump needed), reclaim whites under an atomic section
-    /// (destruction filters + cross-shard bookkeeping).
+    /// Sweeps shard `k` incrementally: whiten survivors and capture
+    /// white candidates one chunk at a time under the shard lock, then
+    /// reclaim the candidates under an atomic section (destruction
+    /// filters + cross-shard bookkeeping).
     fn sweep_shard(&self, shared: &SharedSpace, k: u32, agent: &mut i432_arch::SpaceAgent<'_>) {
         // Anything still queued was blackened already or will be
         // re-found next cycle (it is gray in the table).
@@ -519,57 +570,12 @@ impl ParallelGc {
         let mut local = GcStats::default();
         let mut cur = 0u32;
         loop {
-            let (batch, pages, next) = shared.with_shard_gc(k, |s| {
-                let end = s.index_space_end();
-                let start = s.next_possibly_live(cur);
-                if start >= end {
-                    return (Vec::new(), 0u32, None);
-                }
-                let hi = start.saturating_add(self.chunk).min(end);
-                let mut batch: Vec<(ObjectRef, Color)> = Vec::new();
-                let pages = s.for_live_in_range(start, hi, &mut |i, e| {
-                    batch.push((
-                        ObjectRef {
-                            index: i,
-                            generation: e.generation,
-                        },
-                        e.desc.color,
-                    ));
-                });
-                (batch, pages, Some(hi))
-            });
+            let (whites, pages, next) = shared.with_shard_gc(k, |s| self.sweep_chunk(s, cur));
             i432_trace::bump_by(i432_trace::Counter::GcSweepPages, u64::from(pages));
             self.pages_swept
                 .fetch_add(u64::from(pages), Ordering::Relaxed);
-            let mut whites: Vec<ObjectRef> = Vec::new();
-            if !batch.is_empty() {
-                shared.with_shard_gc(k, |s| {
-                    for (r, color) in &batch {
-                        if s.entry(*r).is_err() {
-                            continue;
-                        }
-                        match color {
-                            // Survivor (gray can appear mid-sweep when
-                            // a mutator moves an AD for a live object):
-                            // whiten for the next cycle.
-                            Color::Black | Color::Gray => {
-                                let _ = s.set_color(*r, Color::White);
-                            }
-                            Color::White => whites.push(*r),
-                        }
-                    }
-                });
-            }
             if !whites.is_empty() {
-                let config = &self.config;
-                let errors = &self.errors;
-                agent.atomically(|sm| {
-                    for r in &whites {
-                        if let Err(f) = reclaim_or_finalize(sm, *r, config, &mut local) {
-                            errors.lock().push(format!("sweep shard {k}: {f:?}"));
-                        }
-                    }
-                });
+                agent.atomically(|sm| self.reclaim_whites(sm, k, &whites, &mut local));
             }
             match next {
                 Some(hi) => cur = hi,
@@ -579,6 +585,65 @@ impl ParallelGc {
         self.reclaimed.fetch_add(local.reclaimed, Ordering::AcqRel);
         self.finalized.fetch_add(local.finalized, Ordering::AcqRel);
     }
+
+    /// One sweep slice of shard `s` from global index `from`, under the
+    /// shard lock: whitens the survivors (black, or gray when a mutator
+    /// moved an AD for a live object mid-sweep) for the next cycle and
+    /// returns the white candidates, the leaf pages probed, and where
+    /// the next slice starts (`None` past the shard's end).
+    fn sweep_chunk(&self, s: &mut ObjectSpace, from: u32) -> (Vec<ObjectRef>, u32, Option<u32>) {
+        let end = s.table.index_space_end();
+        let start = s.table.next_live_index_hint(from);
+        if start >= end {
+            return (Vec::new(), 0, None);
+        }
+        let hi = start.saturating_add(self.chunk).min(end);
+        let mut batch = Vec::new();
+        let pages = s.table.for_live_in_range(start, hi, &mut |index, e| {
+            let r = ObjectRef {
+                index,
+                generation: e.generation,
+            };
+            batch.push((r, e.desc.color));
+        });
+        let mut whites = Vec::new();
+        for (r, color) in batch {
+            if color == Color::White {
+                whites.push(r);
+            } else {
+                let _ = s.set_color(r, Color::White);
+            }
+        }
+        (whites, pages, Some(hi))
+    }
+
+    /// Reclaims the white candidates of one sweep slice. Each color is
+    /// re-read here, in the same atomic section that reclaims: a
+    /// candidate a mutator shaded since [`ParallelGc::sweep_chunk`]
+    /// captured it was reachable then, so it stays (gray, to be marked
+    /// next cycle).
+    fn reclaim_whites(
+        &self,
+        sm: &mut dyn SpaceMut,
+        k: u32,
+        whites: &[ObjectRef],
+        local: &mut GcStats,
+    ) {
+        for &r in whites {
+            if !matches!(sm.entry(r), Ok(e) if e.desc.color == Color::White) {
+                continue;
+            }
+            if let Err(f) = reclaim_or_finalize(sm, r, &self.config, local) {
+                self.errors.lock().push(format!("sweep shard {k}: {f:?}"));
+            }
+        }
+    }
+}
+
+/// Sets shard `k`'s allocation color under its lock (see the module
+/// docs: gray while the collector runs, white otherwise).
+fn set_alloc_color(shared: &SharedSpace, k: u32, c: Color) {
+    shared.with_shard_gc(k, |s| s.set_alloc_color(c));
 }
 
 /// Runs the threaded runner with this collector's workers marking and
@@ -653,6 +718,53 @@ mod tests {
             }
         }
         (s, garbage_refs)
+    }
+
+    /// Gray allocation and the reclaim-time re-read, driven phase by
+    /// phase on one shard: an object created after the root scan (before
+    /// its creator stores an AD for it) is not white, so the cycle keeps
+    /// it; and a white candidate a mutator stores an AD for between the
+    /// sweep's capture and its reclaim is kept too.
+    #[test]
+    fn mid_cycle_objects_and_shaded_candidates_survive_the_sweep() {
+        let (space, garbage) = sharded_population(1, 4, 3);
+        let shared = SharedSpace::new(space);
+        let gc = ParallelGc::new(1, GcConfig::default());
+        let mut agent = shared.agent();
+        let root = agent.root_sro();
+
+        gc.root_scan(&shared, 0, &mut agent);
+        let newborn = agent
+            .create_object(root, ObjectSpec::generic(8, 1))
+            .unwrap();
+        assert_eq!(agent.color_of(newborn), Ok(Color::Gray));
+        gc.mark(&shared, 0, &mut agent, None);
+
+        let (whites, _, _) = shared.with_shard_gc(0, |s| gc.sweep_chunk(s, 0));
+        assert_eq!(whites, garbage, "only the unanchored objects are white");
+        // A mutator stores an AD for one candidate after the capture:
+        // the write barrier shades it, so the reclaim must skip it.
+        let rescued = garbage[0];
+        let ad = agent.mint(rescued, Rights::ALL);
+        agent.store_ad_hw(newborn, 0, Some(ad)).unwrap();
+        let mut local = GcStats::default();
+        agent.atomically(|sm| gc.reclaim_whites(sm, 0, &whites, &mut local));
+
+        assert_eq!(local.reclaimed, 2, "the other two candidates die");
+        assert!(agent.color_of(newborn).is_ok(), "newborn survives");
+        assert_eq!(agent.color_of(rescued), Ok(Color::Gray));
+        for g in &garbage[1..] {
+            assert!(agent.color_of(*g).is_err(), "garbage {g:?} kept");
+        }
+
+        // Once the collector stops, the shard allocates white again.
+        drop(agent);
+        gc.collect_on(&shared, 1);
+        let mut agent = shared.agent();
+        let late = agent
+            .create_object(root, ObjectSpec::generic(8, 0))
+            .unwrap();
+        assert_eq!(agent.color_of(late), Ok(Color::White));
     }
 
     #[test]

@@ -31,16 +31,14 @@ pub fn find_roots<S: SpaceMut + ?Sized>(space: &S) -> Vec<ObjectRef> {
     // the next mark (the shade-at-push barrier only covers the cycle in
     // which the push happened). Rings of dead ports are retired — their
     // entries died with the port, exactly as area-resident messages do.
-    if let Some(reg) = space.port_rings() {
-        reg.for_each(|ring| {
-            if ring.is_dead() {
-                return;
-            }
-            for msg in ring.snapshot_refs() {
-                roots.push(msg);
-            }
-        });
-    }
+    space.port_rings().for_each(|ring| {
+        if ring.is_dead() {
+            return;
+        }
+        for msg in ring.snapshot_refs() {
+            roots.push(msg);
+        }
+    });
     roots
 }
 
@@ -55,11 +53,11 @@ pub fn is_root_entry(e: &i432_arch::Entry) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use i432_arch::{ObjectSpace, ObjectSpec, ProcessorState, SysState};
+    use i432_arch::{ObjectSpec, ProcessorState, ShardedSpace, SysState};
 
     #[test]
     fn processors_and_root_sro_are_roots() {
-        let mut s = ObjectSpace::new(8192, 512, 64);
+        let mut s = ShardedSpace::new(8192, 512, 64, 1);
         let root = s.root_sro();
         let cpu = s
             .create_object(

@@ -271,7 +271,7 @@ fn i6_holds_on_conform_seeds_with_gc_daemon() {
 
 #[test]
 fn sweep_cost_is_proportional_to_live_pages_not_index_range() {
-    use i432_arch::{ObjectSpace, ObjectSpec};
+    use i432_arch::{ObjectSpec, ShardedSpace};
 
     let _guard = i432_trace::test_guard();
     i432_trace::reset();
@@ -281,14 +281,18 @@ fn sweep_cost_is_proportional_to_live_pages_not_index_range() {
     // objects; the first cycle reclaims them all, leaving a table whose
     // index space is still ~4100 wide but nearly empty.
     const LEAF: u32 = i432_arch::object_table::LEAF_ENTRIES;
-    let mut space = ObjectSpace::new(64 * 1024, 4096, 8 * LEAF);
+    let mut space = ShardedSpace::new(64 * 1024, 4096, 8 * LEAF, 1);
     let root = space.root_sro();
     for _ in 0..(4 * LEAF + 8) {
         space
             .create_object(root, ObjectSpec::generic(0, 0))
             .unwrap();
     }
-    assert_eq!(space.table.leaf_pages(), 5, "population spans five pages");
+    assert_eq!(
+        i432_arch::SpaceMut::leaf_pages(&space),
+        5,
+        "population spans five pages"
+    );
 
     let mut gc = Collector::new();
     let before = i432_trace::snapshot();
@@ -307,7 +311,7 @@ fn sweep_cost_is_proportional_to_live_pages_not_index_range() {
         (i432_arch::SpaceMut::index_space_end(&space) / gc.config.sweep_chunk) as u64;
     let live_page_chunks = (LEAF / gc.config.sweep_chunk) as u64;
     assert!(
-        empty_steps <= live_page_chunks + space.table.leaf_pages() as u64,
+        empty_steps <= live_page_chunks + i432_arch::SpaceMut::leaf_pages(&space) as u64,
         "sweeping a nearly-empty table took {empty_steps} steps; \
          want O(live pages) = ~{live_page_chunks}, not O(index range) = {index_chunks}"
     );
@@ -322,7 +326,7 @@ fn sweep_cost_is_proportional_to_live_pages_not_index_range() {
         let empty_pages = after.get(Counter::GcSweepPages) - mid.get(Counter::GcSweepPages);
         assert!(full_pages >= 5, "the first sweep touched every live page");
         assert!(
-            empty_pages <= live_page_chunks + space.table.leaf_pages() as u64,
+            empty_pages <= live_page_chunks + i432_arch::SpaceMut::leaf_pages(&space) as u64,
             "page probes after mass reclaim must be bounded by live pages: \
              {empty_pages} probes vs {index_chunks} index chunks"
         );

@@ -145,7 +145,7 @@ impl fmt::Debug for NativeRegistry {
 mod tests {
     use super::*;
     use crate::fault::FaultKind;
-    use i432_arch::ObjectSpace;
+    use i432_arch::ShardedSpace;
 
     #[test]
     fn register_and_invoke() {
@@ -156,7 +156,7 @@ mod tests {
         });
         assert_eq!(reg.name_of(id), Some("answer"));
 
-        let mut space = ObjectSpace::new(1024, 64, 32);
+        let mut space = ShardedSpace::new(1024, 64, 32, 1);
         let root = space.root_sro();
         let obj = space
             .create_object(root, i432_arch::ObjectSpec::generic(0, 4))
@@ -175,7 +175,7 @@ mod tests {
     #[test]
     fn unknown_body_faults() {
         let reg = NativeRegistry::new();
-        let mut space = ObjectSpace::new(1024, 64, 32);
+        let mut space = ShardedSpace::new(1024, 64, 32, 1);
         let root = space.root_sro();
         let obj = space
             .create_object(root, i432_arch::ObjectSpec::generic(0, 4))

@@ -86,7 +86,7 @@ pub fn ring_for<S: SpaceAccess + ?Sized>(
     port_ad: AccessDescriptor,
     need: Rights,
 ) -> Option<Arc<PortRing>> {
-    let ring = space.port_rings()?.lookup(port_ad.obj)?;
+    let ring = space.port_rings().lookup(port_ad.obj)?;
     if !port_ad.rights.contains(need) {
         return None;
     }
@@ -177,9 +177,7 @@ fn ring_acquire<S: SpaceMut + ?Sized>(
     space: &mut S,
     port: ObjectRef,
 ) -> Result<Option<Arc<PortRing>>, Fault> {
-    let Some(reg) = space.port_rings() else {
-        return Ok(None);
-    };
+    let reg = space.port_rings();
     if !reg.is_enabled() {
         return Ok(None);
     }
@@ -249,10 +247,7 @@ fn ring_release<S: SpaceMut + ?Sized>(space: &mut S, port: ObjectRef, ring: &Por
 /// are retired (their messages died with the port, as they would have
 /// in the message area).
 pub fn flush_rings<S: SpaceMut + ?Sized>(space: &mut S) -> Result<(), Fault> {
-    let Some(reg) = space.port_rings() else {
-        return Ok(());
-    };
-    let reg = Arc::clone(reg);
+    let reg = Arc::clone(space.port_rings());
     let mut rings = Vec::new();
     reg.for_each(|r| rings.push(Arc::clone(r)));
     for ring in rings {
@@ -775,13 +770,13 @@ pub fn expire_timeout<S: SpaceMut + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use i432_arch::{ObjectSpace, ObjectSpec, ObjectType, PortState, SysState};
+    use i432_arch::{ObjectSpec, ObjectType, PortState, ShardedSpace, SysState};
 
-    fn space() -> ObjectSpace {
-        ObjectSpace::new(64 * 1024, 4096, 1024)
+    fn space() -> ShardedSpace {
+        ShardedSpace::new(64 * 1024, 4096, 1024, 1)
     }
 
-    fn make_port(space: &mut ObjectSpace, cap: u32, disc: PortDiscipline) -> ObjectRef {
+    fn make_port(space: &mut ShardedSpace, cap: u32, disc: PortDiscipline) -> ObjectRef {
         let root = space.root_sro();
         space
             .create_object(
@@ -797,7 +792,7 @@ mod tests {
             .unwrap()
     }
 
-    fn make_msg(space: &mut ObjectSpace) -> AccessDescriptor {
+    fn make_msg(space: &mut ShardedSpace) -> AccessDescriptor {
         let root = space.root_sro();
         let r = space
             .create_object(root, ObjectSpec::generic(8, 0))
@@ -960,11 +955,11 @@ mod tests {
 #[cfg(test)]
 mod rekey_tests {
     use super::*;
-    use i432_arch::{ObjectSpace, ObjectSpec, ObjectType, PortState, SysState};
+    use i432_arch::{ObjectSpec, ObjectType, PortState, ShardedSpace, SysState};
 
     #[test]
     fn update_queued_key_reorders_delivery() {
-        let mut s = ObjectSpace::new(32 * 1024, 2048, 256);
+        let mut s = ShardedSpace::new(32 * 1024, 2048, 256, 1);
         let root = s.root_sro();
         let port = s
             .create_object(
@@ -979,7 +974,7 @@ mod rekey_tests {
             )
             .unwrap();
         let pad = s.mint(port, Rights::SEND | Rights::RECEIVE);
-        let mk = |s: &mut ObjectSpace| {
+        let mk = |s: &mut ShardedSpace| {
             let o = s.create_object(root, ObjectSpec::generic(8, 0)).unwrap();
             s.mint(o, Rights::READ)
         };

@@ -2,16 +2,16 @@
 //!
 //! Every ISA-level protection violation must map to the *documented*
 //! fault classification — and must map to the **same** one whether the
-//! program runs over the deterministic single-space (`ObjectSpace`) or
+//! program runs over an exclusively owned one-shard `ShardedSpace` or
 //! over the lock-striped `SharedSpace` agents used by the threaded
 //! runner. Each table row is one minimal program engineered to trip
 //! exactly one fault.
 
 use i432_arch::{
     sysobj::{CTX_SLOT_DOMAIN, CTX_SLOT_FIRST_FREE, CTX_SLOT_SRO, PROC_SLOT_CONTEXT},
-    AccessDescriptor, CodeBody, CodeRef, DomainState, Level, ObjectRef, ObjectSpace, ObjectSpec,
-    ObjectType, PortDiscipline, PortState, Rights, ShardedSpace, SharedSpace, SpaceAccess,
-    SpaceAccessExt, Subprogram, SysState, SystemType,
+    AccessDescriptor, CodeBody, CodeRef, DomainState, Level, ObjectRef, ObjectSpec, ObjectType,
+    PortDiscipline, PortState, Rights, ShardedSpace, SharedSpace, SpaceAccess, SpaceAccessExt,
+    Subprogram, SysState, SystemType,
 };
 use i432_gdp::{
     exec::{Env, Gdp, StepEvent},
@@ -318,7 +318,7 @@ fn fault_table_deterministic_runner() {
         let mut code = CodeStore::new();
         code.install(pb.finish());
 
-        let mut space = ObjectSpace::new(256 * 1024, 8 * 1024, 2048);
+        let mut space = ShardedSpace::new(256 * 1024, 8 * 1024, 2048, 1);
         let got = run_case(&mut space, &code, &case);
         check(&case, "deterministic", got);
     }
@@ -354,7 +354,7 @@ fn runners_agree_case_by_case() {
         let mut code = CodeStore::new();
         code.install(pb.finish());
 
-        let mut det = ObjectSpace::new(256 * 1024, 8 * 1024, 2048);
+        let mut det = ShardedSpace::new(256 * 1024, 8 * 1024, 2048, 1);
         let a = run_case(&mut det, &code, &case);
 
         let shared = SharedSpace::new(ShardedSpace::new(256 * 1024, 8 * 1024, 2048, 4));

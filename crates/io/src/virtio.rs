@@ -601,15 +601,15 @@ impl IoSubsystem {
 mod tests {
     use super::*;
     use crate::console::ConsoleDevice;
-    use i432_arch::{ObjectSpace, ObjectSpec};
+    use i432_arch::{ObjectSpec, ShardedSpace};
     use imax_ipc::untyped;
 
-    fn space() -> ObjectSpace {
-        ObjectSpace::new(256 * 1024, 16 * 1024, 4096)
+    fn space() -> ShardedSpace {
+        ShardedSpace::new(256 * 1024, 16 * 1024, 4096, 1)
     }
 
     fn mk_req(
-        s: &mut ObjectSpace,
+        s: &mut ShardedSpace,
         reply: Port,
         op: u64,
         lba: u64,

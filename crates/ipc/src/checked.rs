@@ -12,7 +12,7 @@
 //! or resurrected from storage (paper §7.2).
 
 use crate::untyped::{self, Port};
-use i432_arch::{AccessDescriptor, ObjectRef, ObjectSpace};
+use i432_arch::{AccessDescriptor, ObjectRef, SpaceMut};
 use i432_gdp::{Fault, FaultKind};
 
 /// A port that admits only instances of one user-defined type.
@@ -40,10 +40,10 @@ impl CheckedPort {
 
     /// The "few more generated instructions": one object-table lookup
     /// comparing the message's type identity against the bound TDO.
-    fn check(&self, space: &ObjectSpace, msg: AccessDescriptor) -> Result<(), Fault> {
+    fn check<S: SpaceMut + ?Sized>(&self, space: &S, msg: AccessDescriptor) -> Result<(), Fault> {
         i432_trace::emit(i432_trace::EventKind::TypeCheck, msg.obj.index.0);
         i432_trace::bump(i432_trace::Counter::TypeChecks);
-        let otype = space.table.get(msg.obj).map_err(Fault::from)?.desc.otype;
+        let otype = space.entry(msg.obj).map_err(Fault::from)?.desc.otype;
         if otype.user_tdo() != Some(self.tdo) {
             return Err(Fault::with_detail(
                 FaultKind::TypeMismatch,
@@ -54,7 +54,11 @@ impl CheckedPort {
     }
 
     /// Sends after verifying the message's hardware type identity.
-    pub fn send(&self, space: &mut ObjectSpace, msg: AccessDescriptor) -> Result<(), Fault> {
+    pub fn send<S: SpaceMut + ?Sized>(
+        &self,
+        space: &mut S,
+        msg: AccessDescriptor,
+    ) -> Result<(), Fault> {
         self.check(space, msg)?;
         untyped::send(space, self.port, msg)
     }
@@ -65,7 +69,10 @@ impl CheckedPort {
     /// an object that should never have entered it (possible only if a
     /// holder of raw send rights bypassed this wrapper, which the rights
     /// system exists to prevent).
-    pub fn receive(&self, space: &mut ObjectSpace) -> Result<Option<AccessDescriptor>, Fault> {
+    pub fn receive<S: SpaceMut + ?Sized>(
+        &self,
+        space: &mut S,
+    ) -> Result<Option<AccessDescriptor>, Fault> {
         match untyped::receive(space, self.port)? {
             Some(msg) => {
                 self.check(space, msg)?;
@@ -80,11 +87,12 @@ impl CheckedPort {
 mod tests {
     use super::*;
     use i432_arch::{
-        ObjectSpec, ObjectType, PortDiscipline, Rights, SysState, SystemType, TdoState,
+        ObjectSpec, ObjectType, PortDiscipline, Rights, ShardedSpace, SysState, SystemType,
+        TdoState,
     };
 
-    fn space_with_tdo() -> (ObjectSpace, ObjectRef) {
-        let mut s = ObjectSpace::new(64 * 1024, 8 * 1024, 1024);
+    fn space_with_tdo() -> (ShardedSpace, ObjectRef) {
+        let mut s = ShardedSpace::new(64 * 1024, 8 * 1024, 1024, 1);
         let root = s.root_sro();
         let tdo = s
             .create_object(
@@ -101,7 +109,7 @@ mod tests {
         (s, tdo)
     }
 
-    fn instance(s: &mut ObjectSpace, tdo: ObjectRef) -> AccessDescriptor {
+    fn instance(s: &mut ShardedSpace, tdo: ObjectRef) -> AccessDescriptor {
         let root = s.root_sro();
         let o = s
             .create_object(

@@ -198,10 +198,10 @@ impl<M: PortMessage> TypedPort<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use i432_arch::ObjectSpace;
+    use i432_arch::ShardedSpace;
 
-    fn space() -> ObjectSpace {
-        ObjectSpace::new(64 * 1024, 8 * 1024, 1024)
+    fn space() -> ShardedSpace {
+        ShardedSpace::new(64 * 1024, 8 * 1024, 1024, 1)
     }
 
     #[test]

@@ -11,7 +11,7 @@
 
 use i432_arch::sysobj::{CTX_SLOT_ARG, CTX_SLOT_SRO};
 use i432_arch::{
-    AccessDescriptor, ObjectRef, ObjectSpace, ObjectSpec, ObjectType, PortDiscipline, Rights,
+    AccessDescriptor, ObjectRef, ObjectSpec, ObjectType, PortDiscipline, Rights, ShardedSpace,
     SysState, SystemType, TdoState,
 };
 use i432_gdp::isa::{AluOp, DataDst, DataRef, Instruction};
@@ -31,8 +31,8 @@ fn drained_kinds() -> Vec<(EventKind, u32)> {
         .collect()
 }
 
-fn fresh_space() -> ObjectSpace {
-    ObjectSpace::new(64 * 1024, 8 * 1024, 1024)
+fn fresh_space() -> ShardedSpace {
+    ShardedSpace::new(64 * 1024, 8 * 1024, 1024, 1)
 }
 
 // -- Host-level arms ---------------------------------------------------------
@@ -41,7 +41,7 @@ const ROUNDS: u64 = 32;
 
 /// The untyped arm: marshal into a fresh object, send, receive, read
 /// back — exactly what `TypedPort::send`/`receive` expand to.
-fn run_untyped(s: &mut ObjectSpace) -> Vec<u64> {
+fn run_untyped(s: &mut ShardedSpace) -> Vec<u64> {
     let root = s.root_sro();
     let prt = untyped::create_port(s, root, 4, PortDiscipline::Fifo).unwrap();
     let mut got = Vec::new();
@@ -58,7 +58,7 @@ fn run_untyped(s: &mut ObjectSpace) -> Vec<u64> {
 
 /// The typed arm: the `Typed_Ports` instance for `u64` over the same
 /// workload.
-fn run_typed(s: &mut ObjectSpace) -> Vec<u64> {
+fn run_typed(s: &mut ShardedSpace) -> Vec<u64> {
     let root = s.root_sro();
     let prt: TypedPort<u64> = TypedPort::create(s, root, 4, PortDiscipline::Fifo).unwrap();
     let mut got = Vec::new();
@@ -107,7 +107,7 @@ fn checked_arm_differs_only_by_type_check_events() {
 
     // Both arms share one space layout: a TDO plus per-round typed
     // instances, so object indices (and thus trace operands) line up.
-    fn space_with_tdo() -> (ObjectSpace, ObjectRef) {
+    fn space_with_tdo() -> (ShardedSpace, ObjectRef) {
         let mut s = fresh_space();
         let root = s.root_sro();
         let tdo = s
@@ -124,7 +124,7 @@ fn checked_arm_differs_only_by_type_check_events() {
             .unwrap();
         (s, tdo)
     }
-    fn instance(s: &mut ObjectSpace, tdo: ObjectRef, v: u64) -> AccessDescriptor {
+    fn instance(s: &mut ShardedSpace, tdo: ObjectRef, v: u64) -> AccessDescriptor {
         let root = s.root_sro();
         let o = s
             .create_object(

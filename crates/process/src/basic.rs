@@ -219,21 +219,21 @@ impl BasicProcessManager {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use i432_arch::ObjectSpace;
+    use i432_arch::ShardedSpace;
     use i432_arch::{
         CodeBody, CodeRef, DomainState, ObjectSpec, ObjectType, PortDiscipline, PortState,
         Subprogram, SysState, SystemType,
     };
 
     struct Fixture {
-        space: ObjectSpace,
+        space: ShardedSpace,
         mgr: BasicProcessManager,
         dispatch: AccessDescriptor,
         domain: AccessDescriptor,
     }
 
     fn fixture() -> Fixture {
-        let mut space = ObjectSpace::new(128 * 1024, 8 * 1024, 2048);
+        let mut space = ShardedSpace::new(128 * 1024, 8 * 1024, 2048, 1);
         let root = space.root_sro();
         let port = space
             .create_object(

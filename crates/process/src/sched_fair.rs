@@ -118,10 +118,10 @@ impl Default for FairShareScheduler {
 mod tests {
     use super::*;
     use i432_arch::{
-        Level, ObjectSpace, ObjectSpec, ObjectType, ProcessState, SysState, SystemType,
+        Level, ObjectSpec, ObjectType, ProcessState, ShardedSpace, SysState, SystemType,
     };
 
-    fn process(space: &mut ObjectSpace) -> ObjectRef {
+    fn process(space: &mut ShardedSpace) -> ObjectRef {
         let root = space.root_sro();
         space
             .create_object(
@@ -139,7 +139,7 @@ mod tests {
 
     #[test]
     fn heavy_consumer_gets_demoted() {
-        let mut space = ObjectSpace::new(32 * 1024, 2048, 256);
+        let mut space = ShardedSpace::new(32 * 1024, 2048, 256, 1);
         let hog = process(&mut space);
         let meek = process(&mut space);
         let mut fs = FairShareScheduler::new();
@@ -158,7 +158,7 @@ mod tests {
 
     #[test]
     fn weights_scale_entitlement() {
-        let mut space = ObjectSpace::new(32 * 1024, 2048, 256);
+        let mut space = ShardedSpace::new(32 * 1024, 2048, 256, 1);
         let heavy_but_entitled = process(&mut space);
         let light = process(&mut space);
         let mut fs = FairShareScheduler::new();
@@ -176,7 +176,7 @@ mod tests {
 
     #[test]
     fn usage_decays_over_passes() {
-        let mut space = ObjectSpace::new(32 * 1024, 2048, 256);
+        let mut space = ShardedSpace::new(32 * 1024, 2048, 256, 1);
         let p = process(&mut space);
         let mut fs = FairShareScheduler::new();
         fs.adopt(p, 1);
@@ -191,7 +191,7 @@ mod tests {
 
     #[test]
     fn reaped_processes_are_dropped() {
-        let mut space = ObjectSpace::new(32 * 1024, 2048, 256);
+        let mut space = ShardedSpace::new(32 * 1024, 2048, 256, 1);
         let p = process(&mut space);
         let mut fs = FairShareScheduler::new();
         fs.adopt(p, 1);

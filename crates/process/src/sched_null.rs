@@ -6,7 +6,7 @@
 //! systems in which the system load can be pre-evaluated. On the other
 //! hand, it is clearly unacceptable in a multi-user environment."
 
-use i432_arch::{ObjectRef, ObjectSpace};
+use i432_arch::{ObjectRef, SpaceMut};
 use i432_gdp::Fault;
 
 /// Pass-through access to the hardware dispatching parameters.
@@ -20,9 +20,9 @@ impl NullScheduler {
     }
 
     /// Sets a process's hardware dispatching priority directly.
-    pub fn set_priority(
+    pub fn set_priority<S: SpaceMut + ?Sized>(
         &self,
-        space: &mut ObjectSpace,
+        space: &mut S,
         p: ObjectRef,
         priority: u8,
     ) -> Result<(), Fault> {
@@ -31,9 +31,9 @@ impl NullScheduler {
     }
 
     /// Sets a process's time slice directly.
-    pub fn set_timeslice(
+    pub fn set_timeslice<S: SpaceMut + ?Sized>(
         &self,
-        space: &mut ObjectSpace,
+        space: &mut S,
         p: ObjectRef,
         cycles: u64,
     ) -> Result<(), Fault> {
@@ -44,9 +44,9 @@ impl NullScheduler {
     }
 
     /// Sets a process's deadline directly.
-    pub fn set_deadline(
+    pub fn set_deadline<S: SpaceMut + ?Sized>(
         &self,
-        space: &mut ObjectSpace,
+        space: &mut S,
         p: ObjectRef,
         deadline: u64,
     ) -> Result<(), Fault> {
@@ -58,11 +58,13 @@ impl NullScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use i432_arch::{Level, ObjectSpec, ObjectType, ProcessState, SysState, SystemType};
+    use i432_arch::{
+        Level, ObjectSpec, ObjectType, ProcessState, ShardedSpace, SysState, SystemType,
+    };
 
     #[test]
     fn passes_parameters_through() {
-        let mut space = ObjectSpace::new(4096, 256, 64);
+        let mut space = ShardedSpace::new(4096, 256, 64, 1);
         let root = space.root_sro();
         let p = space
             .create_object(

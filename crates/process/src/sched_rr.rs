@@ -112,13 +112,13 @@ impl RoundRobinScheduler {
 mod tests {
     use super::*;
     use i432_arch::{
-        AccessDescriptor, CodeBody, CodeRef, DomainState, ObjectSpace, ObjectSpec, ObjectType,
-        PortDiscipline, ProcessState, Rights, Subprogram, SysState, SystemType,
+        AccessDescriptor, CodeBody, CodeRef, DomainState, ObjectSpec, ObjectType, PortDiscipline,
+        ProcessState, Rights, ShardedSpace, Subprogram, SysState, SystemType,
     };
     use imax_ipc::create_port;
 
-    fn fixture() -> (ObjectSpace, RoundRobinScheduler, AccessDescriptor) {
-        let mut space = ObjectSpace::new(128 * 1024, 8 * 1024, 1024);
+    fn fixture() -> (ShardedSpace, RoundRobinScheduler, AccessDescriptor) {
+        let mut space = ShardedSpace::new(128 * 1024, 8 * 1024, 1024, 1);
         let root = space.root_sro();
         let sched_port = create_port(&mut space, root, 32, PortDiscipline::Fifo).unwrap();
         let dispatch = create_port(&mut space, root, 32, PortDiscipline::Fifo).unwrap();
@@ -126,7 +126,11 @@ mod tests {
         (space, rr, dispatch.ad())
     }
 
-    fn bare_process(space: &mut ObjectSpace, dispatch: AccessDescriptor, sched: Port) -> ObjectRef {
+    fn bare_process(
+        space: &mut ShardedSpace,
+        dispatch: AccessDescriptor,
+        sched: Port,
+    ) -> ObjectRef {
         use i432_arch::sysobj::{PROC_SLOT_DISPATCH_PORT, PROC_SLOT_SCHED_PORT};
         let root = space.root_sro();
         let p = space

@@ -7,7 +7,7 @@
 //! system is realizable."
 //!
 //! This crate assembles N emulated GDPs ([`i432_gdp::Gdp`]) over one
-//! shared [`i432_arch::ObjectSpace`] and interleaves them in *simulated
+//! shared [`i432_arch::ShardedSpace`] and interleaves them in *simulated
 //! time*: at every step, the processor with the smallest local cycle clock
 //! advances. Shared-memory traffic contends on an address-interleaved
 //! multi-bus model ([`InterleavedBus`]) — the mechanism behind the paper's
@@ -29,7 +29,7 @@ pub use config::SystemConfig;
 pub use interconnect::InterleavedBus;
 pub use system::{RunOutcome, System};
 pub use threaded::{
-    run_threaded, run_threaded_full, run_threaded_global_lock, AuxWorker, RunConfig,
+    run_threaded, run_threaded_full, run_threaded_global_lock, AuxWorker, Handshake, RunConfig,
     ThreadedOutcome,
 };
 pub use trace::{TraceBuffer, TraceEntry};

@@ -99,12 +99,73 @@ impl std::fmt::Display for RunConfig {
 }
 
 /// An auxiliary worker thread run alongside the GDP threads: it gets the
-/// shared space handle and the runner's `done` flag (set when the
-/// workload completes or the step budget runs out) and is expected to
-/// return promptly once the flag is set. The collector's parallel
-/// markers (`imax-gc`) ride on this hook; the runner itself knows
-/// nothing about what the workers do.
-pub type AuxWorker = Box<dyn for<'s> FnOnce(&'s SharedSpace, &'s AtomicBool) + Send>;
+/// shared space handle, the runner's `done` flag (set when the workload
+/// completes or the step budget runs out) and the GDP threads'
+/// [`Handshake`], and is expected to return promptly once the flag is
+/// set. The collector's parallel markers (`imax-gc`) ride on this hook;
+/// the runner itself knows nothing about what the workers do.
+pub type AuxWorker = Box<dyn for<'s> FnOnce(&'s SharedSpace, &'s AtomicBool, &'s Handshake) + Send>;
+
+/// Instruction-step handshakes between aux workers and the GDP threads
+/// of one threaded run.
+///
+/// An instruction takes one shard-lock hold per space operation, so
+/// between two holds a processor may hold an access descriptor only in
+/// host state: CREATE between creating the object and storing its AD,
+/// RECEIVE between dequeuing a message and storing it. No table scan
+/// sees such a reference. [`Handshake::wait`] returns only once every
+/// GDP thread has been between two instruction steps since the call
+/// began, so every reference that was held that way is back in the
+/// table, written there through the gray-bit barrier.
+pub struct Handshake {
+    /// The latest handshake epoch any waiter asked for.
+    requested: AtomicU64,
+    /// Per GDP thread: the latest epoch it acknowledged at a step
+    /// boundary, or `u64::MAX` once it stopped stepping.
+    acks: Box<[PaddedU64]>,
+}
+
+/// One cache line per GDP thread, so acknowledging never contends.
+#[repr(align(64))]
+struct PaddedU64(AtomicU64);
+
+impl Handshake {
+    fn new(threads: usize) -> Handshake {
+        Handshake {
+            requested: AtomicU64::new(0),
+            acks: (0..threads).map(|_| PaddedU64(AtomicU64::new(0))).collect(),
+        }
+    }
+
+    /// GDP thread `k` is between two steps: acknowledge any pending
+    /// request. One load of a line that only changes per handshake.
+    #[inline]
+    fn poll(&self, k: usize) {
+        let want = self.requested.load(Ordering::SeqCst);
+        let ack = &self.acks[k].0;
+        // Relaxed: only this thread writes its own ack.
+        if ack.load(Ordering::Relaxed) != want {
+            ack.store(want, Ordering::SeqCst);
+        }
+    }
+
+    /// GDP thread `k` steps no more; it never holds up a handshake again.
+    fn leave(&self, k: usize) {
+        self.acks[k].0.store(u64::MAX, Ordering::SeqCst);
+    }
+
+    /// Blocks until every GDP thread has reached a step boundary after
+    /// this call began, or stopped stepping. Hold no shard lock while
+    /// waiting: the step being finished may need it.
+    pub fn wait(&self) {
+        let epoch = self.requested.fetch_add(1, Ordering::SeqCst) + 1;
+        for ack in self.acks.iter() {
+            while ack.0.load(Ordering::SeqCst) < epoch {
+                std::thread::yield_now();
+            }
+        }
+    }
+}
 
 /// A registered process is done once it exited or faulted (nothing in
 /// either runner revives it), or is gone from the space altogether.
@@ -182,15 +243,18 @@ pub fn run_threaded(
     let total_steps = AtomicU64::new(0);
     let errors = AtomicU64::new(0);
     let done = AtomicBool::new(remaining0 == 0);
+    let handshake = Handshake::new(gdps.len());
 
     std::thread::scope(|scope| {
         for worker in aux {
             let shared = &shared;
             let done = &done;
-            scope.spawn(move || worker(shared, done));
+            let handshake = &handshake;
+            scope.spawn(move || worker(shared, done, handshake));
         }
-        for mut gdp in gdps {
+        for (k, mut gdp) in gdps.into_iter().enumerate() {
             let shared = &shared;
+            let handshake = &handshake;
             let processes = &processes;
             let remaining = &remaining;
             let total_steps = &total_steps;
@@ -211,6 +275,7 @@ pub fn run_threaded(
                         done.store(true, Ordering::Release);
                         break;
                     }
+                    handshake.poll(k);
                     let event = {
                         let mut env = Env {
                             space: &mut agent,
@@ -245,6 +310,7 @@ pub fn run_threaded(
                 // pending cycles) back before the space is reassembled;
                 // the agent's own stat deltas flush on drop.
                 gdp.flush_bound(&mut agent);
+                handshake.leave(k);
             });
         }
     });
@@ -387,6 +453,32 @@ mod tests {
     use crate::config::SystemConfig;
     use i432_gdp::isa::{AluOp, DataDst, DataRef};
     use i432_gdp::ProgramBuilder;
+
+    /// A handshake waits for each stepping thread's next step boundary
+    /// and never for a thread that left.
+    #[test]
+    fn handshake_waits_for_a_step_boundary() {
+        let h = Handshake::new(2);
+        h.leave(1);
+        let stepping = AtomicBool::new(true);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                while stepping.load(Ordering::Acquire) {
+                    h.poll(0);
+                    std::thread::yield_now();
+                }
+                h.leave(0);
+            });
+            for epoch in 1..=3 {
+                h.wait();
+                // Thread 0 acknowledged this epoch at a step boundary.
+                assert!(h.acks[0].0.load(Ordering::SeqCst) >= epoch);
+            }
+            stepping.store(false, Ordering::Release);
+        });
+        // Every thread has left: waiting returns at once.
+        h.wait();
+    }
 
     fn batch_system(shards: u32, cpus: u32, jobs: usize) -> System {
         let mut sys = System::new(

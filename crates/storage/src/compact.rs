@@ -130,9 +130,9 @@ pub fn compact_sro<S: SpaceMut + ?Sized>(
 mod tests {
     use super::*;
     use crate::sro::{create_sro, SroQuota};
-    use i432_arch::{Level, ObjectSpace, ObjectSpec, Rights};
+    use i432_arch::{Level, ObjectSpec, Rights, ShardedSpace};
 
-    fn fragmented_sro(space: &mut ObjectSpace) -> (ObjectRef, Vec<(ObjectRef, u64)>) {
+    fn fragmented_sro(space: &mut ShardedSpace) -> (ObjectRef, Vec<(ObjectRef, u64)>) {
         let root = space.root_sro();
         let sro = create_sro(
             space,
@@ -169,7 +169,7 @@ mod tests {
 
     #[test]
     fn compaction_coalesces_free_space() {
-        let mut space = ObjectSpace::new(64 * 1024, 4096, 512);
+        let mut space = ShardedSpace::new(64 * 1024, 4096, 512, 1);
         let (sro, survivors) = fragmented_sro(&mut space);
         let before = space.sro(sro).unwrap();
         assert!(before.data_free.largest_free() < before.data_free.total_free());
@@ -196,7 +196,7 @@ mod tests {
 
     #[test]
     fn big_allocation_succeeds_only_after_compaction() {
-        let mut space = ObjectSpace::new(64 * 1024, 4096, 512);
+        let mut space = ShardedSpace::new(64 * 1024, 4096, 512, 1);
         let (sro, _) = fragmented_sro(&mut space);
         // 1 KiB is free but scattered in 256B holes.
         assert!(space
@@ -210,7 +210,7 @@ mod tests {
 
     #[test]
     fn compaction_is_idempotent() {
-        let mut space = ObjectSpace::new(64 * 1024, 4096, 512);
+        let mut space = ShardedSpace::new(64 * 1024, 4096, 512, 1);
         let (sro, _) = fragmented_sro(&mut space);
         compact_sro(&mut space, sro).unwrap();
         let second = compact_sro(&mut space, sro).unwrap();
@@ -220,7 +220,7 @@ mod tests {
 
     #[test]
     fn parent_with_children_refuses_compaction() {
-        let mut space = ObjectSpace::new(64 * 1024, 4096, 512);
+        let mut space = ShardedSpace::new(64 * 1024, 4096, 512, 1);
         let root = space.root_sro();
         let parent = create_sro(
             &mut space,
@@ -253,7 +253,7 @@ mod tests {
 
     #[test]
     fn empty_sro_compacts_trivially() {
-        let mut space = ObjectSpace::new(64 * 1024, 4096, 512);
+        let mut space = ShardedSpace::new(64 * 1024, 4096, 512, 1);
         let root = space.root_sro();
         let sro = create_sro(
             &mut space,
@@ -274,7 +274,7 @@ mod tests {
     fn absent_segments_do_not_block_compaction() {
         use crate::iface::StorageManager;
         use crate::swapping::SwappingManager;
-        let mut space = ObjectSpace::new(64 * 1024, 4096, 512);
+        let mut space = ShardedSpace::new(64 * 1024, 4096, 512, 1);
         let (sro, survivors) = fragmented_sro(&mut space);
         let mut mgr = SwappingManager::new();
         // Swap one survivor out; compaction must skip it cleanly.

@@ -92,11 +92,11 @@ impl StorageManager for FrozenManager {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use i432_arch::ObjectSpace;
+    use i432_arch::ShardedSpace;
 
     #[test]
     fn pass_through_allocation_and_accounting() {
-        let mut space = ObjectSpace::new(8192, 512, 128);
+        let mut space = ShardedSpace::new(8192, 512, 128, 1);
         let root = space.root_sro();
         let mut m = FrozenManager::new();
         let o = m
@@ -111,7 +111,7 @@ mod tests {
 
     #[test]
     fn exhaustion_is_reported_not_hidden() {
-        let mut space = ObjectSpace::new(128, 16, 64);
+        let mut space = ShardedSpace::new(128, 16, 64, 1);
         let root = space.root_sro();
         let mut m = FrozenManager::new();
         assert!(matches!(
@@ -122,7 +122,7 @@ mod tests {
 
     #[test]
     fn heap_lifecycle() {
-        let mut space = ObjectSpace::new(64 * 1024, 4096, 256);
+        let mut space = ShardedSpace::new(64 * 1024, 4096, 256, 1);
         let root = space.root_sro();
         let mut m = FrozenManager::new();
         let heap = m

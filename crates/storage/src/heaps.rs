@@ -93,12 +93,12 @@ mod tests {
     use super::*;
     use crate::frozen::FrozenManager;
     use i432_arch::{
-        ContextState, Level, ObjectSpace, ObjectSpec, ObjectType, ProcessState, SysState,
+        ContextState, Level, ObjectSpec, ObjectType, ProcessState, ShardedSpace, SysState,
         SystemType,
     };
 
     /// Builds a bare process with a context at the given level.
-    fn proc_at_depth(space: &mut ObjectSpace, depth: u16) -> ObjectRef {
+    fn proc_at_depth(space: &mut ShardedSpace, depth: u16) -> ObjectRef {
         let root = space.root_sro();
         let proc_ref = space
             .create_object(
@@ -139,7 +139,7 @@ mod tests {
 
     #[test]
     fn open_allocate_close() {
-        let mut space = ObjectSpace::new(64 * 1024, 4096, 512);
+        let mut space = ShardedSpace::new(64 * 1024, 4096, 512, 1);
         let mut m = FrozenManager::new();
         let p = proc_at_depth(&mut space, 3);
         let heap = open_local_heap(&mut m, &mut space, p, SroQuota::for_objects(8)).unwrap();
@@ -157,7 +157,7 @@ mod tests {
 
     #[test]
     fn double_open_rejected() {
-        let mut space = ObjectSpace::new(64 * 1024, 4096, 512);
+        let mut space = ShardedSpace::new(64 * 1024, 4096, 512, 1);
         let mut m = FrozenManager::new();
         let p = proc_at_depth(&mut space, 2);
         open_local_heap(&mut m, &mut space, p, SroQuota::for_objects(4)).unwrap();
@@ -169,7 +169,7 @@ mod tests {
 
     #[test]
     fn local_objects_cannot_escape_upward() {
-        let mut space = ObjectSpace::new(64 * 1024, 4096, 512);
+        let mut space = ShardedSpace::new(64 * 1024, 4096, 512, 1);
         let mut m = FrozenManager::new();
         let p = proc_at_depth(&mut space, 4);
         let heap = open_local_heap(&mut m, &mut space, p, SroQuota::for_objects(8)).unwrap();

@@ -99,11 +99,11 @@ pub fn create_sro<S: SpaceMut + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use i432_arch::{ObjectSpace, Rights};
+    use i432_arch::{Rights, ShardedSpace};
 
     #[test]
     fn child_sro_allocates_from_donation() {
-        let mut space = ObjectSpace::new(64 * 1024, 4096, 256);
+        let mut space = ShardedSpace::new(64 * 1024, 4096, 256, 1);
         let root = space.root_sro();
         let child = create_sro(
             &mut space,
@@ -119,13 +119,13 @@ mod tests {
             .create_object(child, ObjectSpec::generic(128, 4))
             .unwrap();
         // The object carries the SRO's fixed level.
-        assert_eq!(space.table.get(obj).unwrap().desc.level, Level(2));
+        assert_eq!(space.entry(obj).unwrap().desc.level, Level(2));
         assert_eq!(space.sro(child).unwrap().object_count, 1);
     }
 
     #[test]
     fn donation_is_bounded() {
-        let mut space = ObjectSpace::new(64 * 1024, 4096, 256);
+        let mut space = ShardedSpace::new(64 * 1024, 4096, 256, 1);
         let root = space.root_sro();
         let child = create_sro(
             &mut space,
@@ -146,7 +146,7 @@ mod tests {
 
     #[test]
     fn bulk_destroy_returns_donation_to_parent() {
-        let mut space = ObjectSpace::new(64 * 1024, 4096, 256);
+        let mut space = ShardedSpace::new(64 * 1024, 4096, 256, 1);
         let root = space.root_sro();
         let free_before = space.sro(root).unwrap().data_free.total_free();
         let child = create_sro(
@@ -175,7 +175,7 @@ mod tests {
 
     #[test]
     fn nested_sros_restitute_transitively() {
-        let mut space = ObjectSpace::new(64 * 1024, 4096, 256);
+        let mut space = ShardedSpace::new(64 * 1024, 4096, 256, 1);
         let root = space.root_sro();
         let free_before = space.sro(root).unwrap().data_free.total_free();
         let a = create_sro(
@@ -206,7 +206,7 @@ mod tests {
 
     #[test]
     fn exhausted_parent_refuses_donation() {
-        let mut space = ObjectSpace::new(1024, 64, 64);
+        let mut space = ShardedSpace::new(1024, 64, 64, 1);
         let root = space.root_sro();
         assert!(matches!(
             create_sro(

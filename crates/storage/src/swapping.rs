@@ -444,11 +444,11 @@ impl StorageManager for SwappingManager {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use i432_arch::{ObjectSpace, Rights};
+    use i432_arch::{Rights, ShardedSpace};
 
-    fn tight_space() -> (ObjectSpace, ObjectRef) {
+    fn tight_space() -> (ShardedSpace, ObjectRef) {
         // Room for about four 256-byte objects in the child SRO.
-        let mut space = ObjectSpace::new(8192, 1024, 256);
+        let mut space = ShardedSpace::new(8192, 1024, 256, 1);
         let root = space.root_sro();
         let sro = create_sro(
             &mut space,
@@ -478,12 +478,12 @@ mod tests {
         let fifth = m
             .create_object(&mut space, sro, ObjectSpec::generic(256, 2))
             .unwrap();
-        assert!(space.table.get(fifth).is_ok());
+        assert!(space.entry(fifth).is_ok());
         assert!(m.stats().swap_outs >= 1);
         // At least one earlier object is now absent.
         let absent = objs
             .iter()
-            .filter(|o| space.table.get(**o).unwrap().desc.absent)
+            .filter(|o| space.entry(**o).unwrap().desc.absent)
             .count();
         assert!(absent >= 1);
     }
@@ -542,7 +542,7 @@ mod tests {
         m.create_object(&mut space, sro, ObjectSpec::generic(256, 0))
             .unwrap();
         assert!(
-            space.table.get(b).unwrap().desc.absent,
+            space.entry(b).unwrap().desc.absent,
             "the untouched segment should be the victim"
         );
     }
@@ -567,7 +567,7 @@ mod tests {
 
     #[test]
     fn cannot_make_room_when_everything_pinned() {
-        let mut space = ObjectSpace::new(8192, 1024, 256);
+        let mut space = ShardedSpace::new(8192, 1024, 256, 1);
         let root = space.root_sro();
         let sro = create_sro(
             &mut space,
@@ -588,7 +588,7 @@ mod tests {
 
     #[test]
     fn memory_budget_evicts_cold_segments() {
-        let mut space = ObjectSpace::new(64 * 1024, 4096, 1024);
+        let mut space = ShardedSpace::new(64 * 1024, 4096, 1024, 1);
         let root = space.root_sro();
         let sro = create_sro(
             &mut space,
@@ -621,16 +621,16 @@ mod tests {
         );
         let absent = objs
             .iter()
-            .filter(|o| space.table.get(**o).unwrap().desc.absent)
+            .filter(|o| space.entry(**o).unwrap().desc.absent)
             .count();
         assert!(absent >= 4);
         m.ensure_resident(&mut space, objs[0]).unwrap();
-        assert!(!space.table.get(objs[0]).unwrap().desc.absent);
+        assert!(!space.entry(objs[0]).unwrap().desc.absent);
     }
 
     /// Data bytes resident before the test allocates anything (the root
     /// SRO's own bookkeeping objects).
-    fn space_data(space: &ObjectSpace) -> u64 {
+    fn space_data(space: &ShardedSpace) -> u64 {
         let mut data = 0u64;
         use i432_arch::SpaceMut;
         space.for_each_live(&mut |_, e| {

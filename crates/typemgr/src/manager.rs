@@ -147,10 +147,10 @@ impl TypeManager {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use i432_arch::ObjectSpace;
+    use i432_arch::ShardedSpace;
 
-    fn setup() -> (ObjectSpace, TypeManager) {
-        let mut s = ObjectSpace::new(64 * 1024, 4096, 512);
+    fn setup() -> (ShardedSpace, TypeManager) {
+        let mut s = ShardedSpace::new(64 * 1024, 4096, 512, 1);
         let root = s.root_sro();
         let m = TypeManager::new(&mut s, root, "mailbox").unwrap();
         (s, m)

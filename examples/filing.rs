@@ -8,14 +8,14 @@
 //!
 //! Run with: `cargo run --example filing`
 
-use imax::arch::{ObjectSpace, ObjectSpec, Rights};
+use imax::arch::{ObjectSpec, Rights, ShardedSpace};
 use imax::inspect;
 use imax::typemgr::TypeManager;
 use imax::{activate, passivate, PassiveStore};
 
 fn main() {
     // --- Machine 1: build and file a document graph. ----------------------
-    let mut m1 = ObjectSpace::new(256 * 1024, 16 * 1024, 4096);
+    let mut m1 = ShardedSpace::new(256 * 1024, 16 * 1024, 4096, 1);
     let root = m1.root_sro();
     let documents = TypeManager::new(&mut m1, root, "document").expect("type");
 
@@ -54,7 +54,7 @@ fn main() {
     drop(m1); // machine 1 is gone.
 
     // --- Machine 2: activate. ---------------------------------------------
-    let mut m2 = ObjectSpace::new(256 * 1024, 16 * 1024, 4096);
+    let mut m2 = ShardedSpace::new(256 * 1024, 16 * 1024, 4096, 1);
     let root2 = m2.root_sro();
     let documents2 = TypeManager::new(&mut m2, root2, "document").expect("type");
 
@@ -89,7 +89,7 @@ fn main() {
     println!("type identity preserved and checked after activation");
 
     // And without the manager present, activation refuses outright.
-    let mut m3 = ObjectSpace::new(64 * 1024, 4096, 256);
+    let mut m3 = ShardedSpace::new(64 * 1024, 4096, 256, 1);
     let root3 = m3.root_sro();
     assert!(activate(&mut m3, root3, &store, |_| None).is_err());
     println!("activation without the type manager is refused (identity is never dropped)");

@@ -1,17 +1,17 @@
 //! Property-based tests on the hardware port mechanism: conservation,
 //! ordering, and waiter exclusivity under random operation sequences.
 
-use imax::arch::{AccessDescriptor, ObjectSpace, ObjectSpec, PortDiscipline, Rights, WaiterKind};
+use imax::arch::{AccessDescriptor, ObjectSpec, PortDiscipline, Rights, ShardedSpace, WaiterKind};
 use imax::gdp::port::{receive, send, RecvOutcome, SendOutcome};
 use imax::ipc::create_port;
 use proptest::prelude::*;
 use std::collections::VecDeque;
 
-fn space() -> ObjectSpace {
-    ObjectSpace::new(256 * 1024, 16 * 1024, 4096)
+fn space() -> ShardedSpace {
+    ShardedSpace::new(256 * 1024, 16 * 1024, 4096, 1)
 }
 
-fn msg(space: &mut ObjectSpace, tag: u64) -> AccessDescriptor {
+fn msg(space: &mut ShardedSpace, tag: u64) -> AccessDescriptor {
     let root = space.root_sro();
     let o = space
         .create_object(root, ObjectSpec::generic(16, 0))

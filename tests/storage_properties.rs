@@ -1,7 +1,7 @@
 //! Property-based tests on storage management: accounting conservation
 //! and content preservation under random create/destroy/swap schedules.
 
-use imax::arch::{AccessDescriptor, ObjectRef, ObjectSpace, ObjectSpec, Rights};
+use imax::arch::{AccessDescriptor, ObjectRef, ObjectSpec, Rights, ShardedSpace};
 use imax::storage::{create_sro, SroQuota, StorageManager, SwappingManager};
 use proptest::prelude::*;
 
@@ -37,7 +37,7 @@ proptest! {
 
     #[test]
     fn swapping_manager_never_loses_data_or_space(ops in ops_strategy()) {
-        let mut space = ObjectSpace::new(512 * 1024, 32 * 1024, 8192);
+        let mut space = ShardedSpace::new(512 * 1024, 32 * 1024, 8192, 1);
         let root = space.root_sro();
         let quota = SroQuota {
             data_bytes: 64 * 1024,
@@ -88,7 +88,7 @@ proptest! {
             let resident: u64 = live
                 .iter()
                 .filter(|(o, _, _, _)| {
-                    !space.table.get(*o).unwrap().desc.absent
+                    !space.entry(*o).unwrap().desc.absent
                 })
                 .map(|(_, _, _, b)| *b as u64)
                 .sum();
@@ -113,7 +113,7 @@ proptest! {
         // Backing store holds pages only for absent survivors.
         let absent = live
             .iter()
-            .filter(|(o, _, _, _)| space.table.get(*o).unwrap().desc.absent)
+            .filter(|(o, _, _, _)| space.entry(*o).unwrap().desc.absent)
             .count();
         mgr.scrub(&space);
         prop_assert!(mgr.backing.resident_pages() <= absent + live.len());
@@ -126,7 +126,7 @@ proptest! {
     fn bulk_destroy_restores_parent_exactly(
         sizes in proptest::collection::vec(8u32..512, 0..40),
     ) {
-        let mut space = ObjectSpace::new(512 * 1024, 32 * 1024, 8192);
+        let mut space = ShardedSpace::new(512 * 1024, 32 * 1024, 8192, 1);
         let root = space.root_sro();
         let before_data = space.sro(root).unwrap().data_free.total_free();
         let before_slots = space.sro(root).unwrap().access_free.total_free();

@@ -4,13 +4,13 @@
 //! hardware-recognized type identity is guaranteed to be preserved and
 //! checked, either by the hardware or by object filing."
 
-use imax::arch::{ObjectSpace, ObjectSpec, PortDiscipline, Rights};
+use imax::arch::{ObjectSpec, PortDiscipline, Rights, ShardedSpace};
 use imax::ipc::{create_port, CheckedPort};
 use imax::typemgr::TypeManager;
 use imax::{activate, passivate};
 
-fn space() -> ObjectSpace {
-    ObjectSpace::new(256 * 1024, 16 * 1024, 4096)
+fn space() -> ShardedSpace {
+    ShardedSpace::new(256 * 1024, 16 * 1024, 4096, 1)
 }
 
 #[test]
@@ -85,6 +85,37 @@ fn identity_survives_the_filing_system() {
     let port = create_port(&mut s2, root2, 2, PortDiscipline::Fifo).unwrap();
     let checked = CheckedPort::bind(port, mgr2.tdo());
     assert!(checked.send(&mut s2, revived).is_ok());
+}
+
+/// A booted system's space is sharded; the checked port must run on it
+/// with the type, the message and the port each in a different shard.
+#[test]
+fn checked_port_across_shards() {
+    let mut s = ShardedSpace::new(256 * 1024, 16 * 1024, 4096, 3);
+    let roots = [s.root_sro_of(0), s.root_sro_of(1), s.root_sro_of(2)];
+    let mgr = TypeManager::new(&mut s, roots[0], "parcel").unwrap();
+    let msg = mgr.create_instance(&mut s, roots[1], 16, 0).unwrap();
+    let port = create_port(&mut s, roots[2], 4, PortDiscipline::Fifo).unwrap();
+    let shard_of = |r: imax::arch::ObjectRef| r.index.0 % 3;
+    assert_eq!(
+        [
+            shard_of(mgr.tdo()),
+            shard_of(msg.obj),
+            shard_of(port.ad().obj)
+        ],
+        [0, 1, 2]
+    );
+
+    let checked = CheckedPort::bind(port, mgr.tdo());
+    checked.send(&mut s, msg).unwrap();
+    assert_eq!(checked.receive(&mut s).unwrap(), Some(msg));
+
+    // A generic object from the message's shard is still refused.
+    let generic = s
+        .create_object(roots[1], ObjectSpec::generic(16, 0))
+        .unwrap();
+    let generic = s.mint(generic, Rights::READ);
+    assert!(checked.send(&mut s, generic).is_err());
 }
 
 #[test]
