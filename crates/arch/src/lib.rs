@@ -59,7 +59,7 @@ pub use portring::{PortRing, PortRingRegistry, RingEntry, RingRefusal};
 pub use qualcache::{QualCache, QualLine, QUAL_CACHE_LINES};
 pub use refs::{AccessDescriptor, CodeRef, NativeId, ObjectIndex, ObjectRef};
 pub use rights::Rights;
-pub use shard::{ShardedSpace, SharedSpace, SpaceAgent};
+pub use shard::{CachePadded, ShardedSpace, SharedSpace, SpaceAgent};
 pub use space::{ObjectSpace, ObjectSpec, SpaceStats};
 pub use traits::{SpaceAccess, SpaceAccessExt, SpaceMut};
 

@@ -41,8 +41,37 @@ use crate::{
 };
 use parking_lot::Mutex;
 use std::cell::UnsafeCell;
+use std::ops::Deref;
 use std::sync::atomic::{fence, AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
+
+/// A value alone on its own cache lines.
+///
+/// Aligned to 128 bytes, which covers the pair of 64-byte lines an
+/// adjacent-line prefetcher fetches together, so no two padded values
+/// ever share a line. A word that one host thread writes often and
+/// other threads touch (a shard lock, a shard epoch, a per-thread
+/// acknowledgement) goes in one of these: packed, eight such words
+/// share a line, and every write by one thread evicts that line from
+/// every other thread's cache.
+#[repr(align(128))]
+pub struct CachePadded<T>(T);
+
+impl<T> CachePadded<T> {
+    /// Pads `value` out to its own cache lines.
+    pub const fn new(value: T) -> CachePadded<T> {
+        CachePadded(value)
+    }
+}
+
+impl<T> Deref for CachePadded<T> {
+    type Target = T;
+
+    #[inline]
+    fn deref(&self) -> &T {
+        &self.0
+    }
+}
 
 /// An object space partitioned into address-interleaved shards, owned
 /// exclusively (no internal locking).
@@ -665,13 +694,20 @@ impl SpaceMut for ShardedSpace {
 ///   lock) *before* mutating, and the fast path revalidates the epoch
 ///   after copying bytes — the seqlock protocol of
 ///   [`crate::qualcache`].
+///
+/// Each shard's lock and each shard's epoch sits on its own cache line
+/// ([`CachePadded`]). Threads working in different shards then share
+/// no line: packed, eight locks or eight epochs share one, and every
+/// lock, unlock or epoch bump by one thread would evict the line that
+/// another thread's lock or lock-free epoch check in a neighbouring
+/// shard is using.
 pub struct SharedSpace {
     inner: UnsafeCell<ShardedSpace>,
     base: *mut ObjectSpace,
-    locks: Box<[Mutex<()>]>,
+    locks: Box<[CachePadded<Mutex<()>>]>,
     roots: Box<[ObjectRef]>,
     /// Per-shard invalidation epochs (see [`crate::qualcache`]).
-    epochs: Box<[AtomicU64]>,
+    epochs: Box<[CachePadded<AtomicU64>]>,
     /// Per-shard data-arena views for the lock-free fast path.
     arenas: Box<[ArenaView]>,
     /// Clone of the inner space's port-ring registry, reachable without
@@ -698,8 +734,10 @@ impl SharedSpace {
     pub fn new(space: ShardedSpace) -> SharedSpace {
         let n = space.shard_count() as usize;
         let roots = (0..n as u32).map(|k| space.root_sro_of(k)).collect();
-        let locks = (0..n).map(|_| Mutex::new(())).collect();
-        let epochs = (0..n).map(|_| AtomicU64::new(0)).collect();
+        let locks = (0..n).map(|_| CachePadded::new(Mutex::new(()))).collect();
+        let epochs = (0..n)
+            .map(|_| CachePadded::new(AtomicU64::new(0)))
+            .collect();
         let port_rings = Arc::clone(space.port_ring_registry());
         let mut shared = SharedSpace {
             inner: UnsafeCell::new(space),
@@ -1415,6 +1453,35 @@ mod tests {
         let space = shared.into_inner();
         assert_eq!(space.stats().objects_created, 800);
         assert_eq!(space.live_count(), 4 + 800);
+    }
+
+    /// Adjacent shards' lock words, and likewise their epoch words, sit
+    /// at least 128 bytes apart: no two shards share a cache line or an
+    /// adjacent-line prefetch pair, so GDP threads in different shards
+    /// never write a line the other is using.
+    #[test]
+    fn shard_locks_and_epochs_sit_on_their_own_lines() {
+        let shared = SharedSpace::new(ShardedSpace::new(4096, 64, 64, 4));
+        let gaps = |addrs: Vec<usize>| -> Vec<usize> {
+            addrs.windows(2).map(|w| w[1].abs_diff(w[0])).collect()
+        };
+        let locks = gaps(
+            shared
+                .locks
+                .iter()
+                .map(|l| &**l as *const Mutex<()> as usize)
+                .collect(),
+        );
+        let epochs = gaps(
+            shared
+                .epochs
+                .iter()
+                .map(|e| &**e as *const AtomicU64 as usize)
+                .collect(),
+        );
+        assert_eq!((locks.len(), epochs.len()), (3, 3));
+        assert!(locks.iter().all(|&g| g >= 128), "lock gaps {locks:?}");
+        assert!(epochs.iter().all(|&g| g >= 128), "epoch gaps {epochs:?}");
     }
 
     /// The `with_shard_gc` epoch contract: color flips are invisible to

@@ -30,7 +30,9 @@
 //! checks exactly that across thread-count × shard-count combinations.
 
 use crate::system::System;
-use i432_arch::{ArchResult, ProcessStatus, ShardedSpace, SharedSpace, SpaceAccessExt};
+use i432_arch::{
+    ArchResult, CachePadded, ProcessStatus, ShardedSpace, SharedSpace, SpaceAccessExt,
+};
 use i432_gdp::{Env, Gdp, NullInterconnect, StepEvent};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -42,7 +44,8 @@ pub struct ThreadedOutcome {
     /// Every registered (non-service) process reached a terminal state
     /// (exited, or faulted with no service to revive it).
     pub completed: bool,
-    /// Total steps executed across all threads.
+    /// Steps executed across all threads; never more than the run's
+    /// `max_steps`.
     pub steps: u64,
     /// System errors observed (should be zero for correct software).
     pub system_errors: u64,
@@ -120,20 +123,19 @@ pub type AuxWorker = Box<dyn for<'s> FnOnce(&'s SharedSpace, &'s AtomicBool, &'s
 pub struct Handshake {
     /// The latest handshake epoch any waiter asked for.
     requested: AtomicU64,
-    /// Per GDP thread: the latest epoch it acknowledged at a step
+    /// Per GDP thread, each on its own cache line so acknowledging
+    /// never contends: the latest epoch it acknowledged at a step
     /// boundary, or `u64::MAX` once it stopped stepping.
-    acks: Box<[PaddedU64]>,
+    acks: Box<[CachePadded<AtomicU64>]>,
 }
-
-/// One cache line per GDP thread, so acknowledging never contends.
-#[repr(align(64))]
-struct PaddedU64(AtomicU64);
 
 impl Handshake {
     fn new(threads: usize) -> Handshake {
         Handshake {
             requested: AtomicU64::new(0),
-            acks: (0..threads).map(|_| PaddedU64(AtomicU64::new(0))).collect(),
+            acks: (0..threads)
+                .map(|_| CachePadded::new(AtomicU64::new(0)))
+                .collect(),
         }
     }
 
@@ -142,7 +144,7 @@ impl Handshake {
     #[inline]
     fn poll(&self, k: usize) {
         let want = self.requested.load(Ordering::SeqCst);
-        let ack = &self.acks[k].0;
+        let ack = &self.acks[k];
         // Relaxed: only this thread writes its own ack.
         if ack.load(Ordering::Relaxed) != want {
             ack.store(want, Ordering::SeqCst);
@@ -151,7 +153,7 @@ impl Handshake {
 
     /// GDP thread `k` steps no more; it never holds up a handshake again.
     fn leave(&self, k: usize) {
-        self.acks[k].0.store(u64::MAX, Ordering::SeqCst);
+        self.acks[k].store(u64::MAX, Ordering::SeqCst);
     }
 
     /// Blocks until every GDP thread has reached a step boundary after
@@ -160,11 +162,28 @@ impl Handshake {
     pub fn wait(&self) {
         let epoch = self.requested.fetch_add(1, Ordering::SeqCst) + 1;
         for ack in self.acks.iter() {
-            while ack.0.load(Ordering::SeqCst) < epoch {
+            while ack.load(Ordering::SeqCst) < epoch {
                 std::thread::yield_now();
             }
         }
     }
+}
+
+/// Steps a [`run_threaded`] GDP thread claims from the run-wide budget
+/// at a time, so the shared counter is written once per this many
+/// steps instead of on every step of every thread.
+const STEP_QUOTA: u64 = 64;
+
+/// Claims up to `quota` steps of what is left of the `max_steps`
+/// budget, `claimed` counting the steps granted so far. Returns the
+/// steps granted: `quota`, fewer when less than that is left, 0 once
+/// the budget is spent. `claimed` never exceeds `max_steps`.
+fn claim_steps(claimed: &AtomicU64, max_steps: u64, quota: u64) -> u64 {
+    claimed
+        .fetch_update(Ordering::AcqRel, Ordering::Acquire, |c| {
+            (c < max_steps).then(|| c + quota.min(max_steps - c))
+        })
+        .map_or(0, |c| quota.min(max_steps - c))
 }
 
 /// A registered process is done once it exited or faulted (nothing in
@@ -189,6 +208,17 @@ fn terminal(status: ArchResult<ProcessStatus>) -> bool {
 /// `aux` workers (e.g. collector workers) share the space with the
 /// mutator GDPs. They do not count toward `max_steps` or completion and
 /// are joined before the space is reassembled.
+///
+/// # Step budget
+///
+/// Each GDP thread claims steps from the run-wide `max_steps` budget
+/// 64 at a time, each claim clamped to what is left, and counts its
+/// claim down locally. The run never executes more than `max_steps`
+/// steps. The first thread whose claim is refused ends the
+/// run, and the other threads stop with whatever is left of their
+/// current claims unexecuted, so a run that exhausts its budget stops
+/// fewer than `threads × 64` steps short of `max_steps`.
+/// [`ThreadedOutcome::steps`] counts the steps actually executed.
 pub fn run_threaded(
     mut sys: System,
     max_steps: u64,
@@ -240,41 +270,48 @@ pub fn run_threaded(
             .count()
     };
     let remaining = AtomicUsize::new(remaining0);
-    let total_steps = AtomicU64::new(0);
+    let claimed = AtomicU64::new(0);
     let errors = AtomicU64::new(0);
     let done = AtomicBool::new(remaining0 == 0);
     let handshake = Handshake::new(gdps.len());
 
-    std::thread::scope(|scope| {
+    let steps = std::thread::scope(|scope| {
         for worker in aux {
             let shared = &shared;
             let done = &done;
             let handshake = &handshake;
             scope.spawn(move || worker(shared, done, handshake));
         }
+        let mut threads = Vec::new();
         for (k, mut gdp) in gdps.into_iter().enumerate() {
             let shared = &shared;
             let handshake = &handshake;
             let processes = &processes;
             let remaining = &remaining;
-            let total_steps = &total_steps;
+            let claimed = &claimed;
             let errors = &errors;
             let done = &done;
-            scope.spawn(move || {
+            threads.push(scope.spawn(move || {
                 let mut agent = if cache {
                     shared.agent()
                 } else {
                     shared.agent_uncached()
                 };
                 let mut bus = NullInterconnect;
+                let (mut quota, mut executed) = (0u64, 0u64);
                 loop {
                     if done.load(Ordering::Acquire) {
                         break;
                     }
-                    if total_steps.fetch_add(1, Ordering::AcqRel) >= max_steps {
-                        done.store(true, Ordering::Release);
-                        break;
+                    if quota == 0 {
+                        quota = claim_steps(claimed, max_steps, STEP_QUOTA);
+                        if quota == 0 {
+                            done.store(true, Ordering::Release);
+                            break;
+                        }
                     }
+                    quota -= 1;
+                    executed += 1;
                     handshake.poll(k);
                     let event = {
                         let mut env = Env {
@@ -311,8 +348,13 @@ pub fn run_threaded(
                 // the agent's own stat deltas flush on drop.
                 gdp.flush_bound(&mut agent);
                 handshake.leave(k);
-            });
+                executed
+            }));
         }
+        threads
+            .into_iter()
+            .map(|t| t.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+            .sum::<u64>()
     });
 
     sys.space = shared.into_inner();
@@ -333,7 +375,7 @@ pub fn run_threaded(
         .all(|p| terminal(sys.space.process(*p).map(|s| s.status)));
     let outcome = ThreadedOutcome {
         completed,
-        steps: total_steps.load(Ordering::Acquire),
+        steps,
         system_errors: errors.load(Ordering::Acquire),
     };
     (sys, outcome)
@@ -363,7 +405,9 @@ pub fn run_threaded_full(
 
 /// The original threaded runner: one mutex around the whole system, every
 /// step serialized. Logically equivalent to [`run_threaded`]; kept as the
-/// baseline the striped runner's speedup is measured against.
+/// baseline the striped runner's speedup is measured against, so it
+/// still claims its step budget one step at a time and runs exactly
+/// `max_steps` steps when the budget runs out.
 pub fn run_threaded_global_lock(sys: System, max_steps: u64) -> (System, ThreadedOutcome) {
     let processes: Vec<_> = sys.processes().to_vec();
     let mut gdps = Vec::new();
@@ -371,14 +415,14 @@ pub fn run_threaded_global_lock(sys: System, max_steps: u64) -> (System, Threade
         gdps.push(Gdp::new(cpu));
     }
     let shared = Arc::new(Mutex::new(sys));
-    let total_steps = Arc::new(AtomicU64::new(0));
+    let claimed = Arc::new(AtomicU64::new(0));
     let errors = Arc::new(AtomicU64::new(0));
     let done = Arc::new(AtomicBool::new(false));
 
     let mut handles = Vec::new();
     for mut gdp in gdps {
         let shared = Arc::clone(&shared);
-        let total_steps = Arc::clone(&total_steps);
+        let claimed = Arc::clone(&claimed);
         let errors = Arc::clone(&errors);
         let done = Arc::clone(&done);
         let processes = processes.clone();
@@ -388,7 +432,7 @@ pub fn run_threaded_global_lock(sys: System, max_steps: u64) -> (System, Threade
                 if done.load(Ordering::Acquire) {
                     return;
                 }
-                if total_steps.fetch_add(1, Ordering::AcqRel) >= max_steps {
+                if claim_steps(&claimed, max_steps, 1) == 0 {
                     done.store(true, Ordering::Release);
                     return;
                 }
@@ -439,9 +483,10 @@ pub fn run_threaded_global_lock(sys: System, max_steps: u64) -> (System, Threade
     let completed = processes
         .iter()
         .all(|p| terminal(sys.space.process(*p).map(|s| s.status)));
+    // Every granted claim is a step executed.
     let outcome = ThreadedOutcome {
         completed,
-        steps: total_steps.load(Ordering::Acquire),
+        steps: claimed.load(Ordering::Acquire),
         system_errors: errors.load(Ordering::Acquire),
     };
     (sys, outcome)
@@ -472,7 +517,7 @@ mod tests {
             for epoch in 1..=3 {
                 h.wait();
                 // Thread 0 acknowledged this epoch at a step boundary.
-                assert!(h.acks[0].0.load(Ordering::SeqCst) >= epoch);
+                assert!(h.acks[0].load(Ordering::SeqCst) >= epoch);
             }
             stepping.store(false, Ordering::Release);
         });
@@ -505,6 +550,56 @@ mod tests {
             sys.spawn(dom, 0, None);
         }
         sys
+    }
+
+    /// Jobs that never halt, so only the step budget ends the run.
+    fn spinning_system(cpus: u32, jobs: usize) -> System {
+        let mut sys = System::new(&SystemConfig::small().with_processors(cpus).with_shards(2));
+        let mut p = ProgramBuilder::new();
+        let top = p.new_label();
+        p.bind(top);
+        p.work(10);
+        p.jump(top);
+        let sub = sys.subprogram("spin", p.finish(), 64, 8);
+        let dom = sys.install_domain("spin", vec![sub], 0);
+        for _ in 0..jobs {
+            sys.spawn(dom, 0, None);
+        }
+        sys
+    }
+
+    /// The budget contract: a run that exhausts `max_steps` reports the
+    /// steps it executed, never more than the budget, and one thread
+    /// runs the budget out exactly; each other thread may leave at most
+    /// one claim unexecuted.
+    #[test]
+    fn step_budget_bounds_the_steps_executed() {
+        let max_steps = 1_000;
+        let (_, one) = run_threaded(
+            spinning_system(1, 2),
+            max_steps,
+            RunConfig::default(),
+            Vec::new(),
+        );
+        assert!(!one.completed, "{one:?}");
+        assert_eq!(one.steps, max_steps, "{one:?}");
+        let (_, two) = run_threaded(
+            spinning_system(2, 4),
+            max_steps,
+            RunConfig::default(),
+            Vec::new(),
+        );
+        assert!(!two.completed, "{two:?}");
+        assert!(
+            max_steps - 2 * STEP_QUOTA < two.steps && two.steps <= max_steps,
+            "{two:?}"
+        );
+        assert_eq!(two.system_errors, 0, "{two:?}");
+        // The global-lock baseline claims one step at a time and counts
+        // only granted claims.
+        let (_, global) = run_threaded_global_lock(spinning_system(2, 4), max_steps);
+        assert!(!global.completed, "{global:?}");
+        assert_eq!(global.steps, max_steps, "{global:?}");
     }
 
     #[test]
