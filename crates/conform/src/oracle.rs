@@ -23,10 +23,10 @@ use crate::gen::{
 use i432_arch::{
     digest_from_roots,
     sysobj::{SroState, PROC_SLOT_CONTEXT},
-    AccessDescriptor, Level, ObjectRef, ObjectSpec, ObjectType, PortDiscipline, ProcessStatus,
-    Rights, SysState, SystemType,
+    AccessDescriptor, CodeBody, Level, ObjectRef, ObjectSpec, ObjectType, PortDiscipline,
+    ProcessStatus, Rights, Subprogram, SysState, SystemType,
 };
-use i432_gdp::process::ProcessSpec;
+use i432_gdp::{native::NativeReturn, process::ProcessSpec};
 use i432_sim::{RunConfig, RunOutcome, System, SystemConfig};
 use imax_ipc::create_port;
 
@@ -46,6 +46,11 @@ pub const FULL_MATRIX: &[(u32, u32)] = &[
 
 /// A reduced matrix for tier-1 test time on small hosts.
 pub const QUICK_MATRIX: &[(u32, u32)] = &[(1, 1), (4, 4)];
+
+/// The value the oracle's native subprogram returns.
+pub const NATIVE_ECHO_VALUE: u64 = 0x432;
+/// Cycles the oracle's native subprogram charges.
+const NATIVE_ECHO_CYCLES: u64 = 40;
 
 /// Step budget for the reference arm.
 const DET_BUDGET: u64 = 50_000_000;
@@ -141,12 +146,29 @@ fn build(case: &GenCase, shards: u32, cpus: u32) -> (System, Harness) {
     // runs inside the oracle.
     let deep_ad = sys.space.mint(deep, Rights::READ | Rights::WRITE);
 
-    let subs: Vec<_> = case
+    let mut subs: Vec<_> = case
         .processes
         .iter()
         .enumerate()
         .map(|(i, p)| sys.subprogram(&format!("fuzz{i}"), p.program.clone(), CTX_DATA, CTX_ACCESS))
         .collect();
+    // One native body after the programs, at index `processes.len()`:
+    // generated programs never call it; hand-built call cases use it to
+    // cross into native code. It hands the argument AD back with a fixed
+    // value, so its result is schedule-independent.
+    let echo = sys.natives.register("conform.echo", |cx| {
+        cx.charge(NATIVE_ECHO_CYCLES);
+        Ok(NativeReturn {
+            ad: cx.arg(),
+            value: Some(NATIVE_ECHO_VALUE),
+        })
+    });
+    subs.push(Subprogram {
+        name: "echo".into(),
+        body: CodeBody::Native(echo),
+        ctx_data_len: CTX_DATA,
+        ctx_access_len: CTX_ACCESS,
+    });
     let dom = sys.install_domain("conform", subs, 0);
 
     let mut processes = Vec::new();

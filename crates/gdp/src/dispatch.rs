@@ -58,9 +58,10 @@ pub fn is_linear(instr: &Instruction) -> bool {
     )
 }
 
-/// Instructions admissible on the unlocked fast path: the legal
-/// *second* half of a superinstruction. Kept in lockstep with the
-/// executor's own fast-path predicate (asserted by the fusion tests).
+/// The legal *second* half of a superinstruction: the *local* subset of
+/// the executor's fast path (linear instructions and jumps). CALL and
+/// RETURN also run on the fast path, but they switch contexts and may
+/// defer to the locked path, so they are never half of a fused pair.
 fn is_fast_second(instr: &Instruction) -> bool {
     is_linear(instr) | matches!(instr, Instruction::Jump(_) | Instruction::JumpIf { .. })
 }

@@ -111,15 +111,33 @@ impl Charge {
     }
 }
 
+/// Where a domain switch left the process: its new current context,
+/// that context's code segment, and the instruction to resume at.
+#[derive(Debug, Clone, Copy)]
+struct Binding {
+    ctx: ObjectRef,
+    /// `None` when the new context has no interpreted body; a bound
+    /// processor then flushes and leaves the next step to the locked
+    /// path.
+    code: Option<i432_arch::CodeRef>,
+    ip: u32,
+}
+
 /// Control outcome of one instruction.
 enum Ctl {
     /// Advance to the next instruction.
     Next,
     /// Jump to this instruction index.
     Jump(u32),
-    /// Control transferred (CALL/RETURN manage the instruction pointers
-    /// themselves).
-    Switched,
+    /// Control transferred to another context. CALL and RETURN have
+    /// already committed the switch in the space (the process's context
+    /// slot, the caller's resume ip) and hand back the new binding, so
+    /// the fast path rebinds its registers without re-reading either.
+    Switched(Binding),
+    /// Only produced while the processor is bound: the instruction must
+    /// run on the locked path instead (a CALL to a native body, or a
+    /// root RETURN). Nothing was committed, charged or counted.
+    Defer,
     /// The process blocked at a port. The producer must have fully
     /// committed the block *inside the same atomic section* that parked
     /// the process: ip advanced past the blocking instruction and the
@@ -153,15 +171,21 @@ fn queue_scan_cost<S: SpaceAccess + ?Sized>(space: &mut S, port_ad: AccessDescri
 /// The real 432 keeps the bound process, current context and instruction
 /// pointer in on-chip registers while a process is bound; it only writes
 /// them back to the process/context objects at a *binding change*
-/// (block, preempt, fault, exit, call, return). This mirror lets the
-/// interpreter execute runs of local instructions without consulting the
-/// object space for per-step bookkeeping — which, over a lock-striped
-/// shared space, means without taking any shard lock.
+/// (block, preempt, fault, exit). A CALL or RETURN between interpreted
+/// bodies is not one: the processor stays bound to its process and the
+/// registers move to the callee's or caller's context. This mirror lets
+/// the interpreter execute runs of local instructions and domain
+/// switches without consulting the object space for per-step
+/// bookkeeping — which, over a lock-striped shared space, means without
+/// taking a shard lock beyond the ones the instruction's own object work
+/// needs.
 ///
 /// Everything here is a pure copy of space state that only this
-/// processor mutates while the process stays bound: the instruction
-/// pointer and remaining time slice, plus cycle counts accumulated since
-/// the last write-back.
+/// processor mutates while the process stays bound: the current context
+/// and its instruction pointer, the remaining time slice, plus cycle
+/// counts accumulated since the last write-back. The current context's
+/// stored ip is stale while bound; every other context's stored ip is
+/// authoritative (CALL writes the caller's resume ip before rebinding).
 #[derive(Debug, Clone, Copy)]
 struct BoundState {
     /// The bound process.
@@ -183,9 +207,12 @@ struct BoundState {
 }
 
 /// Instructions the cached fast path may execute: local data/AD work
-/// whose only system-state side effect is the instruction pointer. Every
-/// port, call/return, allocation, clock or fault instruction falls back
-/// to the fully-locked path.
+/// whose only system-state side effect is the instruction pointer, plus
+/// CALL and RETURN between interpreted bodies, which rebind the
+/// registers to the new context instead of flushing them. A CALL whose
+/// body is native and a root RETURN defer to the locked path
+/// ([`Ctl::Defer`]); every port, allocation, clock, fault or exit
+/// instruction falls back to it outright.
 fn is_fast(instr: &Instruction) -> bool {
     matches!(
         instr,
@@ -199,6 +226,8 @@ fn is_fast(instr: &Instruction) -> bool {
             | Instruction::Restrict { .. }
             | Instruction::LoadAd { .. }
             | Instruction::StoreAd { .. }
+            | Instruction::Call { .. }
+            | Instruction::Return { .. }
     )
 }
 
@@ -431,8 +460,15 @@ impl Gdp {
             let mut charge = Charge::default();
             charge.add(env.cost.decode);
             charge.words += 1;
-            let site = Some((b.code, b.ip));
+            let site = (b.code, b.ip);
             let ctl = match self.exec_instr(env, b.proc_ref, b.ctx, cur, site, &mut charge) {
+                Ok(Ctl::Defer) => {
+                    // Nothing was committed: the locked path executes
+                    // this instruction from scratch. CALL and RETURN are
+                    // never fusion partners, so no half was retired.
+                    self.flush_bound(env.space);
+                    return None;
+                }
                 Ok(ctl) => ctl,
                 Err(fault) => {
                     // Like the locked path, a faulting instruction
@@ -464,18 +500,35 @@ impl Gdp {
             b.pending_proc_cycles += total;
             b.slice_remaining = b.slice_remaining.saturating_sub(total);
             step_cycles += total;
+            let mut stays_bound = true;
             match ctl {
                 Ctl::Next => b.ip += 1,
                 Ctl::Jump(t) => b.ip = t,
-                // is_fast admits no blocking, switching or exiting
-                // instructions.
-                _ => unreachable!("fast instruction yielded non-local control"),
+                Ctl::Switched(to) => {
+                    // The switch is committed in the space; move the
+                    // registers to the new context. A context without
+                    // an interpreted body cannot stay bound: flush and
+                    // let the next step's locked path run it.
+                    b.ctx = to.ctx;
+                    b.ip = to.ip;
+                    match to.code {
+                        Some(code) => b.code = code,
+                        None => stays_bound = false,
+                    }
+                }
+                // is_fast admits no blocking or exiting instructions,
+                // and deferrals returned above.
+                Ctl::Blocked | Ctl::Exited | Ctl::Defer => {
+                    unreachable!("fast instruction yielded non-local control")
+                }
             }
             self.bound = Some(b);
-            if b.slice_remaining == 0 {
+            if b.slice_remaining == 0 || !stays_bound {
                 // Slice expired: the partner (if any) does not execute
                 // this step — exactly where the unfused schedule would
-                // preempt between the two instructions.
+                // preempt between the two instructions. A switch to a
+                // context without an interpreted body ends the run of
+                // bound steps the same way.
                 self.flush_bound(env.space);
                 return Some(match self.maybe_preempt(env, b.proc_ref, total) {
                     Ok(ev) => ev,
@@ -604,7 +657,7 @@ impl Gdp {
                         format!("ip {} outside instruction segment", cstate.ip),
                     ));
                 };
-                let site = Some((code_ref, cstate.ip));
+                let site = (code_ref, cstate.ip);
                 let ctl = self.exec_instr(env, proc_ref, ctx, instr, site, &mut charge)?;
                 if i432_trace::ENABLED {
                     let op = instr.opcode();
@@ -663,7 +716,8 @@ impl Gdp {
                 with_context_state(env.space, ctx, |c| c.ip = t)?;
                 self.maybe_preempt(env, proc_ref, total)
             }
-            Ctl::Switched => self.maybe_preempt(env, proc_ref, total),
+            Ctl::Switched(_) => self.maybe_preempt(env, proc_ref, total),
+            Ctl::Defer => unreachable!("only a bound processor defers"),
             Ctl::Blocked => {
                 // ip and processor binding were already committed inside
                 // the blocking instruction's atomic section (see the
@@ -859,15 +913,15 @@ impl Gdp {
     fn port_ring_ic<S: SpaceAccess + ?Sized>(
         &mut self,
         space: &S,
-        site: Option<Site>,
+        site: Site,
         port_ad: AccessDescriptor,
         need: Rights,
     ) -> Option<Arc<PortRing>> {
-        let Some(s) = site.filter(|_| self.fusion_enabled) else {
+        if !self.fusion_enabled {
             return port::ring_for(space, port_ad, need);
-        };
+        }
         let epoch = space.qual_epoch(port_ad.obj);
-        if let Some(ring) = self.ics.probe_port(s, port_ad, epoch) {
+        if let Some(ring) = self.ics.probe_port(site, port_ad, epoch) {
             if port_ad.rights.contains(need) {
                 i432_trace::bump(i432_trace::Counter::IcHits);
                 return Some(ring);
@@ -877,7 +931,7 @@ impl Gdp {
         let ring = port::ring_for(space, port_ad, need)?;
         if let Some(e) = epoch {
             i432_trace::bump(i432_trace::Counter::IcMisses);
-            self.ics.fill_port(s, port_ad, e, Arc::clone(&ring));
+            self.ics.fill_port(site, port_ad, e, Arc::clone(&ring));
         }
         Some(ring)
     }
@@ -888,7 +942,7 @@ impl Gdp {
         proc_ref: ObjectRef,
         ctx: ObjectRef,
         instr: Instruction,
-        site: Option<Site>,
+        site: Site,
         charge: &mut Charge,
     ) -> Result<Ctl, Fault> {
         let ctx_ad = env.space.mint(ctx, Rights::READ | Rights::WRITE);
@@ -1401,9 +1455,41 @@ impl Gdp {
         arg: Option<u16>,
         ret_ad: Option<u16>,
         ret_val: Option<u32>,
-        site: Option<Site>,
+        site: Site,
         charge: &mut Charge,
     ) -> Result<Ctl, Fault> {
+        let ctx_ad = env.space.mint(ctx, Rights::READ | Rights::WRITE);
+        let dom = env.space.load_ad_required(ctx_ad, domain as u32);
+        // Call-site inline cache: on a hit, the Domain type check, CALL
+        // qualification and subprogram-table resolution are served from
+        // the cached line — valid only for the exact descriptor (object,
+        // generation and rights), the exact subprogram index, and an
+        // unchanged shard epoch. The epoch is read *before* resolution,
+        // so a line filled while the domain mutates concurrently can
+        // only be invalid, never stale-live. CALL's cost is fixed below
+        // either way — the cycle model is untouched.
+        let ic_site = self.fusion_enabled.then_some(site);
+        let epoch = match (&dom, ic_site) {
+            (Ok(d), Some(_)) => env.space.qual_epoch(d.obj),
+            _ => None,
+        };
+        if let (Some(_), &Ok(dom_ad)) = (self.bound, &dom) {
+            // A native body runs inside `atomically` and may read the
+            // process's accounting, so it never runs with unflushed
+            // binding registers: hand the CALL to the locked path before
+            // anything is committed, charged or counted. Subprogram
+            // tables are immutable, so this peek decides for the locked
+            // re-execution too. A CALL that will fault stays here.
+            let native =
+                match ic_site.and_then(|s| self.ics.probe_call(s, subprogram, dom_ad, epoch)) {
+                    Some(sub) => matches!(sub.body, CodeBody::Native(_)),
+                    None => subprogram_of(env.space, dom_ad.obj, subprogram)
+                        .is_ok_and(|s| matches!(s.body, CodeBody::Native(_))),
+                };
+            if native {
+                return Ok(Ctl::Defer);
+            }
+        }
         charge.add(env.cost.call_total() - env.cost.decode);
         charge.words += 24; // context allocation + linkage traffic
         if i432_trace::ENABLED {
@@ -1411,21 +1497,7 @@ impl Gdp {
             i432_trace::bump(i432_trace::Counter::DomainCalls);
             i432_trace::observe(i432_trace::Hist::DomainCallCycles, env.cost.call_total());
         }
-        let ctx_ad = env.space.mint(ctx, Rights::READ | Rights::WRITE);
-        let dom_ad = env
-            .space
-            .load_ad_required(ctx_ad, domain as u32)
-            .map_err(Fault::from)?;
-        // Call-site inline cache: on a hit, the Domain type check, CALL
-        // qualification and subprogram-table resolution are served from
-        // the cached line — valid only for the exact descriptor (object,
-        // generation and rights), the exact subprogram index, and an
-        // unchanged shard epoch. The epoch is read *before* resolution,
-        // so a line filled while the domain mutates concurrently can
-        // only be invalid, never stale-live. CALL's cost is fixed above
-        // either way — the cycle model is untouched.
-        let ic_site = site.filter(|_| self.fusion_enabled);
-        let epoch = ic_site.and_then(|_| env.space.qual_epoch(dom_ad.obj));
+        let dom_ad = dom.map_err(Fault::from)?;
         let hit =
             ic_site.is_some_and(|s| self.ics.probe_call(s, subprogram, dom_ad, epoch).is_some());
         let resolved: Option<Subprogram> = if hit {
@@ -1483,17 +1555,30 @@ impl Gdp {
             ret_val,
         )?;
 
+        // The caller resumes after the CALL. Computed from the site, not
+        // by bumping the stored ip: while the processor is bound, the
+        // caller's stored ip is stale and the binding register holds it.
+        let resume_ip = site.1 + 1;
         match sub.body {
-            CodeBody::Interpreted(_) => {
-                // Commit: the caller resumes after the CALL.
-                with_context_state(env.space, ctx, |c| c.ip += 1)?;
+            CodeBody::Interpreted(code) => {
+                // Commit: the callee becomes the process's current
+                // context, then the caller's resume ip is stored. The ip
+                // store is the last fallible step, so a fault anywhere in
+                // the CALL leaves the caller's stored ip as it was — the
+                // value a bound processor's flush writes back too.
                 let callee_ad = env.space.mint(callee, Rights::READ | Rights::WRITE);
                 env.space
                     .store_ad_hw(proc_ref, PROC_SLOT_CONTEXT, Some(callee_ad))
                     .map_err(Fault::from)?;
-                Ok(Ctl::Switched)
+                with_context_state(env.space, ctx, |c| c.ip = resume_ip)?;
+                Ok(Ctl::Switched(Binding {
+                    ctx: callee,
+                    code: Some(code),
+                    ip: 0,
+                }))
             }
             CodeBody::Native(id) => {
+                debug_assert!(self.bound.is_none(), "a bound CALL defers natives");
                 // Native services execute within the CALL and return
                 // immediately; the caller pays the same domain-switch
                 // price (uniformity of OS and user calls). The callee
@@ -1531,8 +1616,12 @@ impl Gdp {
                         }
                         destroy_context(env.space, callee)?;
                         charge.add(env.cost.return_total());
-                        with_context_state(env.space, ctx, |c| c.ip += 1)?;
-                        Ok(Ctl::Switched)
+                        with_context_state(env.space, ctx, |c| c.ip = resume_ip)?;
+                        Ok(Ctl::Switched(Binding {
+                            ctx,
+                            code: Some(site.0),
+                            ip: resume_ip,
+                        }))
                     }
                     Err(fault) => {
                         let _ = destroy_context(env.space, callee);
@@ -1552,6 +1641,13 @@ impl Gdp {
         value: Option<DataRef>,
         charge: &mut Charge,
     ) -> Result<Ctl, Fault> {
+        let ctx_ad = env.space.mint(ctx, Rights::READ | Rights::WRITE);
+        let caller = env.space.load_ad(ctx_ad, CTX_SLOT_CALLER);
+        if self.bound.is_some() && matches!(caller, Ok(None)) {
+            // A root RETURN exits the process: the locked path tears it
+            // down. Defer before anything is charged or counted.
+            return Ok(Ctl::Defer);
+        }
         charge.add(env.cost.return_total() - env.cost.decode);
         charge.words += 8;
         if i432_trace::ENABLED {
@@ -1562,12 +1658,8 @@ impl Gdp {
                 env.cost.return_total(),
             );
         }
-        let ctx_ad = env.space.mint(ctx, Rights::READ | Rights::WRITE);
         let cstate = context_state(env.space, ctx)?;
-        let caller = env
-            .space
-            .load_ad(ctx_ad, CTX_SLOT_CALLER)
-            .map_err(Fault::from)?;
+        let caller = caller.map_err(Fault::from)?;
         let ret_ad_value = match ad {
             Some(slot) => env
                 .space
@@ -1600,9 +1692,22 @@ impl Gdp {
                 .map_err(Fault::from)?;
         }
 
+        // One read of the caller's entry yields both its level (for the
+        // scope-exit check below) and the binding the process resumes
+        // in: the caller's body and the resume ip its CALL stored.
+        let (caller_level, resume) = env
+            .space
+            .entry_view(caller_ad.obj, |e| {
+                let resume = match &e.sys {
+                    SysState::Context(c) => Some((c.body, c.ip)),
+                    _ => None,
+                };
+                (e.desc.level, resume)
+            })
+            .map_err(Fault::from)?;
+
         // Scope-exit reclamation of the local heap, if one was opened at
         // this depth or deeper (paper §5).
-        let caller_level = env.space.level_of(caller_ad.obj).map_err(Fault::from)?;
         if let Some(lh) = env
             .space
             .load_ad_hw(proc_ref, PROC_SLOT_LOCAL_HEAP)
@@ -1622,7 +1727,17 @@ impl Gdp {
         env.space
             .store_ad_hw(proc_ref, PROC_SLOT_CONTEXT, Some(caller_ad))
             .map_err(Fault::from)?;
-        Ok(Ctl::Switched)
+        // A caller slot the program overwrote with a non-context object
+        // faults at the next step's context read, exactly as before.
+        let (code, ip) = match resume {
+            Some((CodeBody::Interpreted(code), ip)) => (Some(code), ip),
+            _ => (None, 0),
+        };
+        Ok(Ctl::Switched(Binding {
+            ctx: caller_ad.obj,
+            code,
+            ip,
+        }))
     }
 }
 
@@ -1644,11 +1759,14 @@ mod tests {
     pub(crate) struct Rig {
         pub(crate) space: ShardedSpace,
         code: CodeStore,
-        natives: NativeRegistry,
+        pub(crate) natives: NativeRegistry,
         bus: NullInterconnect,
         cost: CostModel,
         dispatch: AccessDescriptor,
-        gdp: Option<Gdp>,
+        pub(crate) gdp: Option<Gdp>,
+        /// Build the processor with the binding-register cache and
+        /// dispatch specialization on.
+        pub(crate) fused: bool,
     }
 
     impl Rig {
@@ -1676,6 +1794,7 @@ mod tests {
                 cost: CostModel::default(),
                 dispatch,
                 gdp: None,
+                fused: false,
             }
         }
 
@@ -1729,9 +1848,27 @@ mod tests {
             if self.gdp.is_none() {
                 let root = self.space.root_sro();
                 let cpu = make_processor(&mut self.space, root, 0, self.dispatch).unwrap();
-                self.gdp = Some(Gdp::new(cpu));
+                self.gdp = Some(if self.fused {
+                    Gdp::new_fused(cpu)
+                } else {
+                    Gdp::new(cpu)
+                });
             }
             self.gdp.as_mut().unwrap()
+        }
+
+        /// Advances the processor by one step.
+        pub(crate) fn step(&mut self) -> StepEvent {
+            self.cpu();
+            let gdp = self.gdp.as_mut().unwrap();
+            let mut env = Env {
+                space: &mut self.space,
+                code: &self.code,
+                natives: &self.natives,
+                bus: &mut self.bus,
+                cost: self.cost,
+            };
+            gdp.step(&mut env)
         }
 
         /// Steps until the predicate holds or the step budget runs out.
@@ -1740,27 +1877,15 @@ mod tests {
             max_steps: u32,
             mut stop: impl FnMut(&StepEvent) -> bool,
         ) -> Vec<StepEvent> {
-            self.cpu();
             let mut events = Vec::new();
-            let mut gdp = self.gdp.take().unwrap();
             for _ in 0..max_steps {
-                let ev = {
-                    let mut env = Env {
-                        space: &mut self.space,
-                        code: &self.code,
-                        natives: &self.natives,
-                        bus: &mut self.bus,
-                        cost: self.cost,
-                    };
-                    gdp.step(&mut env)
-                };
+                let ev = self.step();
                 let done = stop(&ev);
                 events.push(ev);
                 if done {
                     break;
                 }
             }
-            self.gdp = Some(gdp);
             events
         }
     }
@@ -2463,5 +2588,521 @@ mod control_flow_edge_tests {
                 ..
             })
         ));
+    }
+}
+
+/// CALL and RETURN on the binding-register fast path: one program is
+/// stepped on an uncached processor and on a cached+fused one, and after
+/// every step the two must agree on everything the binding registers
+/// shadow — with a bound processor's registers folded in, so the cached
+/// side is observed *without* a flush that would unbind it.
+#[cfg(test)]
+mod fast_switch_tests {
+    use super::tests::Rig;
+    use super::*;
+    use crate::isa::AluOp;
+    use crate::native::NativeReturn;
+    use crate::program::ProgramBuilder;
+    use i432_arch::{
+        sysobj::{CTX_SLOT_ARG, CTX_SLOT_FIRST_FREE},
+        Level,
+    };
+
+    /// Caller slot holding the callee domain.
+    const S_DOM: u16 = CTX_SLOT_FIRST_FREE as u16;
+    /// Caller slot holding the CALL's argument AD.
+    const S_ARG: u16 = CTX_SLOT_FIRST_FREE as u16 + 1;
+    /// Caller slot receiving the returned AD.
+    const S_RET: u16 = CTX_SLOT_FIRST_FREE as u16 + 2;
+    /// A caller slot nothing ever writes.
+    const S_EMPTY: u16 = CTX_SLOT_FIRST_FREE as u16 + 5;
+
+    /// The state a step leaves, as the uncached interpreter would have
+    /// written it back.
+    #[derive(Debug, PartialEq, Eq)]
+    struct Observed {
+        clock: u64,
+        ctx: Option<ObjectRef>,
+        ip: Option<u32>,
+        locals: Vec<u64>,
+        total_cycles: u64,
+        slice_remaining: u64,
+        busy_cycles: u64,
+        status: ProcessStatus,
+        fault_code: u16,
+    }
+
+    fn observe(rig: &mut Rig, proc_ref: ObjectRef) -> Observed {
+        let gdp = rig.gdp.clone().expect("stepped");
+        let ps = rig.space.process(proc_ref).unwrap().clone();
+        let mut busy_cycles = rig.space.processor(gdp.cpu).unwrap().busy_cycles;
+        let ctx = rig
+            .space
+            .load_ad_hw(proc_ref, PROC_SLOT_CONTEXT)
+            .unwrap()
+            .map(|ad| ad.obj);
+        let mut ip = ctx.map(|c| context_state(&mut rig.space, c).unwrap().ip);
+        let locals = match ctx {
+            Some(c) => {
+                let ad = rig.space.mint(c, Rights::READ);
+                (0..4)
+                    .map(|i| rig.space.read_u64(ad, i * 8).unwrap())
+                    .collect()
+            }
+            None => Vec::new(),
+        };
+        let (mut total_cycles, mut slice_remaining) = (ps.total_cycles, ps.slice_remaining);
+        if let Some(b) = gdp.bound {
+            assert_eq!(Some(b.ctx), ctx, "the bound context is the current one");
+            ip = Some(b.ip);
+            total_cycles += b.pending_proc_cycles;
+            slice_remaining = b.slice_remaining;
+            busy_cycles += b.pending_busy;
+        }
+        Observed {
+            clock: gdp.clock,
+            ctx,
+            ip,
+            locals,
+            total_cycles,
+            slice_remaining,
+            busy_cycles,
+            status: ps.status,
+            fault_code: ps.fault_code,
+        }
+    }
+
+    /// Builds the same system twice and steps the cached+fused processor
+    /// until the process leaves it for good. After every step the
+    /// uncached processor catches up to the same clock — one step, or
+    /// two when the cached step retired a fused pair — and the two must
+    /// agree on the event and on the written-back state. Returns the
+    /// cached side's events, each with whether it was still bound after.
+    fn lockstep(build: impl Fn(&mut Rig) -> ObjectRef) -> Vec<(StepEvent, bool)> {
+        let mut plain = Rig::new();
+        let p = build(&mut plain);
+        let mut fused = Rig::new();
+        fused.fused = true;
+        assert_eq!(build(&mut fused), p, "identical construction");
+        let mut trace = Vec::new();
+        for step in 0..400 {
+            let ev = fused.step();
+            let clock = fused.gdp.as_ref().unwrap().clock;
+            let mut plain_ev = plain.step();
+            if plain.gdp.as_ref().unwrap().clock < clock {
+                // The cached step retired a fused pair.
+                match (plain_ev, plain.step()) {
+                    (
+                        StepEvent::Executed { process, cycles },
+                        StepEvent::Executed { cycles: c2, .. },
+                    ) => {
+                        plain_ev = StepEvent::Executed {
+                            process,
+                            cycles: cycles + c2,
+                        }
+                    }
+                    (a, b) => panic!("step {step}: {ev:?} spans {a:?} and {b:?}"),
+                }
+            }
+            assert_eq!(plain_ev, ev, "step {step}: events diverged");
+            assert_eq!(
+                observe(&mut plain, p),
+                observe(&mut fused, p),
+                "step {step} ({ev:?}) diverged"
+            );
+            let bound = fused.gdp.as_ref().unwrap().bound.is_some();
+            trace.push((ev.clone(), bound));
+            if matches!(
+                ev,
+                StepEvent::ProcessExited(_)
+                    | StepEvent::ProcessFaulted { .. }
+                    | StepEvent::SystemError { .. }
+            ) {
+                return trace;
+            }
+        }
+        panic!("the process never left the processor: {trace:?}");
+    }
+
+    /// The last event of a lockstep run.
+    fn last(trace: &[(StepEvent, bool)]) -> &StepEvent {
+        &trace.last().expect("at least one step").0
+    }
+
+    fn root_ctx(rig: &mut Rig, p: ObjectRef) -> ObjectRef {
+        rig.space
+            .load_ad_hw(p, PROC_SLOT_CONTEXT)
+            .unwrap()
+            .unwrap()
+            .obj
+    }
+
+    /// A three-deep interpreted chain: each level takes the caller's
+    /// argument AD, calls one level deeper, and returns the AD it got
+    /// back plus a value derived from the one it got back.
+    fn nested_chain(rig: &mut Rig, main_tail: impl Fn(&mut ProgramBuilder)) -> ObjectRef {
+        let mut leaf = ProgramBuilder::new();
+        leaf.work(7);
+        leaf.alu(
+            AluOp::Add,
+            DataRef::Imm(40),
+            DataRef::Imm(2),
+            DataDst::Local(0),
+        );
+        leaf.ret(Some(CTX_SLOT_ARG as u16), Some(DataRef::Local(0)));
+        let leaf = rig.sub("leaf", leaf.finish());
+        let mut mid = ProgramBuilder::new();
+        mid.call(
+            i432_arch::sysobj::CTX_SLOT_DOMAIN as u16,
+            2,
+            Some(CTX_SLOT_ARG as u16),
+            Some(S_RET),
+            Some(8),
+        );
+        mid.alu(
+            AluOp::Mul,
+            DataRef::Local(8),
+            DataRef::Imm(3),
+            DataDst::Local(0),
+        );
+        mid.ret(Some(S_RET), Some(DataRef::Local(0)));
+        let mid = rig.sub("mid", mid.finish());
+        let mut top = ProgramBuilder::new();
+        top.call(
+            i432_arch::sysobj::CTX_SLOT_DOMAIN as u16,
+            1,
+            Some(CTX_SLOT_ARG as u16),
+            Some(S_RET),
+            Some(8),
+        );
+        top.alu(
+            AluOp::Add,
+            DataRef::Local(8),
+            DataRef::Imm(1),
+            DataDst::Local(0),
+        );
+        top.ret(Some(S_RET), Some(DataRef::Local(0)));
+        let top = rig.sub("top", top.finish());
+        let svc = rig.domain("chain", vec![top, mid, leaf]);
+
+        let mut main = ProgramBuilder::new();
+        main.mov(DataRef::Imm(5), DataDst::Local(0));
+        main.call(S_DOM, 0, Some(S_ARG), Some(S_RET), Some(16));
+        main_tail(&mut main);
+        main.halt();
+        let main = rig.sub("main", main.finish());
+        let app = rig.domain("app", vec![main]);
+        let p = rig.spawn(app, 0);
+        let ctx = root_ctx(rig, p);
+        let root = rig.space.root_sro();
+        let arg = rig
+            .space
+            .create_object(root, ObjectSpec::generic(8, 0))
+            .unwrap();
+        let arg = rig.space.mint(arg, Rights::READ);
+        rig.space.store_ad_hw(ctx, S_DOM as u32, Some(svc)).unwrap();
+        rig.space.store_ad_hw(ctx, S_ARG as u32, Some(arg)).unwrap();
+        p
+    }
+
+    #[test]
+    fn nested_calls_stay_bound_and_match_the_locked_path() {
+        let trace = lockstep(|rig| {
+            nested_chain(rig, |m| {
+                // Prove the results arrived: 3 * 42 + 1 at local 16, and
+                // the argument AD came back through three RETURNs.
+                m.alu(
+                    AluOp::Eq,
+                    DataRef::Local(16),
+                    DataRef::Imm(127),
+                    DataDst::Local(24),
+                );
+                let ok = m.new_label();
+                m.jump_if_nonzero(DataRef::Local(24), ok);
+                m.raise_fault(1);
+                m.bind(ok);
+                m.inspect_ad(S_RET, DataDst::Local(8));
+            })
+        });
+        assert!(
+            matches!(last(&trace), StepEvent::ProcessExited(_)),
+            "{trace:?}"
+        );
+        // Three CALLs and three RETURNs, and the cached processor was
+        // still bound after every one of them.
+        let switches: Vec<bool> = trace
+            .iter()
+            .filter(|(e, _)| is_switch(e))
+            .map(|&(_, bound)| bound)
+            .collect();
+        assert_eq!(switches.len(), 6, "{trace:?}");
+        assert!(
+            switches.iter().all(|&b| b),
+            "a domain switch unbound the processor: {trace:?}"
+        );
+    }
+
+    /// Whether a step executed a CALL or RETURN: in these programs
+    /// every other instruction costs far less than a domain switch.
+    fn is_switch(e: &StepEvent) -> bool {
+        matches!(e, StepEvent::Executed { cycles, .. }
+            if *cycles >= CostModel::default().return_total())
+    }
+
+    /// Runs `main` (after two fast instructions that leave cycles
+    /// pending in the registers) and expects it to fault with `kind`.
+    fn call_faults(kind: FaultKind, build: impl Fn(&mut ProgramBuilder)) {
+        let trace = lockstep(|rig| {
+            let mut leaf = ProgramBuilder::new();
+            leaf.ret(None, None);
+            let leaf = rig.sub("leaf", leaf.finish());
+            let mut huge = ProgramBuilder::new();
+            huge.ret(None, None);
+            let mut huge = rig.sub("huge", huge.finish());
+            huge.ctx_data_len = 1 << 20;
+            let svc = rig.domain("svc", vec![leaf, huge]);
+            let mut main = ProgramBuilder::new();
+            main.mov(DataRef::Imm(9), DataDst::Local(0));
+            main.work(13);
+            build(&mut main);
+            main.halt();
+            let main = rig.sub("main", main.finish());
+            let app = rig.domain("app", vec![main]);
+            let p = rig.spawn(app, 0);
+            let ctx = root_ctx(rig, p);
+            rig.space.store_ad_hw(ctx, S_DOM as u32, Some(svc)).unwrap();
+            p
+        });
+        match last(&trace) {
+            StepEvent::ProcessFaulted { kind: k, .. } => assert_eq!(*k, kind, "{trace:?}"),
+            other => panic!("expected a {kind:?} fault, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn call_faults_match_at_every_fallible_step() {
+        // Empty domain slot.
+        call_faults(FaultKind::NullAccess, |m| {
+            m.call(S_EMPTY, 0, None, None, None);
+        });
+        // Not a domain.
+        call_faults(FaultKind::TypeMismatch, |m| {
+            m.call(CTX_SLOT_SRO as u16, 0, None, None, None);
+        });
+        // A domain without CALL rights.
+        call_faults(FaultKind::Rights, |m| {
+            m.restrict(S_DOM, Rights::READ);
+            m.call(S_DOM, 0, None, None, None);
+        });
+        // Bad subprogram index.
+        call_faults(FaultKind::BadSubprogram, |m| {
+            m.call(S_DOM, 99, None, None, None);
+        });
+        // Argument slot outside the caller's access part.
+        call_faults(FaultKind::Bounds, |m| {
+            m.call(S_DOM, 0, Some(200), None, None);
+        });
+        // No SRO to allocate the callee context from.
+        call_faults(FaultKind::NullAccess, |m| {
+            m.null_ad(CTX_SLOT_SRO as u16);
+            m.call(S_DOM, 0, None, None, None);
+        });
+        // The callee context does not fit the arena.
+        call_faults(FaultKind::StorageExhausted, |m| {
+            m.call(S_DOM, 1, None, None, None);
+        });
+    }
+
+    #[test]
+    fn return_faults_match_the_locked_path() {
+        // The level rule: returning an AD for an object shorter-lived
+        // than the caller's context.
+        let trace = lockstep(|rig| {
+            let root = rig.space.root_sro();
+            let deep = rig
+                .space
+                .create_object(
+                    root,
+                    ObjectSpec {
+                        data_len: 8,
+                        access_len: 0,
+                        otype: ObjectType::GENERIC,
+                        level: Some(Level(10)),
+                        sys: SysState::Generic,
+                    },
+                )
+                .unwrap();
+            let deep = rig.space.mint(deep, Rights::READ);
+            let p = nested_chain(rig, |_| {});
+            let ctx = root_ctx(rig, p);
+            rig.space
+                .store_ad_hw(ctx, S_ARG as u32, Some(deep))
+                .unwrap();
+            p
+        });
+        assert!(
+            matches!(
+                last(&trace),
+                StepEvent::ProcessFaulted {
+                    kind: FaultKind::Level,
+                    ..
+                }
+            ),
+            "{trace:?}"
+        );
+        // A result offset outside the caller's data part faults after
+        // the returned AD was already delivered.
+        let trace = lockstep(|rig| {
+            let mut leaf = ProgramBuilder::new();
+            leaf.work(3);
+            leaf.ret(Some(CTX_SLOT_ARG as u16), Some(DataRef::Imm(7)));
+            let leaf = rig.sub("leaf", leaf.finish());
+            let svc = rig.domain("svc", vec![leaf]);
+            let mut main = ProgramBuilder::new();
+            main.call(S_DOM, 0, Some(S_DOM), Some(S_RET), Some(4096));
+            main.halt();
+            let main = rig.sub("main", main.finish());
+            let app = rig.domain("app", vec![main]);
+            let p = rig.spawn(app, 0);
+            let ctx = root_ctx(rig, p);
+            rig.space.store_ad_hw(ctx, S_DOM as u32, Some(svc)).unwrap();
+            p
+        });
+        assert!(
+            matches!(
+                last(&trace),
+                StepEvent::ProcessFaulted {
+                    kind: FaultKind::Bounds,
+                    ..
+                }
+            ),
+            "{trace:?}"
+        );
+    }
+
+    /// The cycles each Executed step of the nested chain charges, from
+    /// an uncached probe run.
+    fn chain_step_cycles() -> Vec<u64> {
+        let mut rig = Rig::new();
+        nested_chain(&mut rig, |_| {});
+        rig.run_until(400, |e| matches!(e, StepEvent::ProcessExited(_)))
+            .into_iter()
+            .filter_map(|e| match e {
+                StepEvent::Executed { cycles, .. } => Some(cycles),
+                _ => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn timeslice_expiring_on_call_or_return_matches() {
+        let cycles = chain_step_cycles();
+        // Executed steps of the chain: mov, CALL, CALL, CALL, work, alu,
+        // RETURN, ... A slice of exactly the cycles up to and including
+        // step k expires on step k, since every instruction costs
+        // something.
+        for (what, k) in [
+            ("the first CALL", 1),
+            ("the third CALL", 3),
+            ("a RETURN", 6),
+        ] {
+            assert!(
+                cycles[k] >= CostModel::default().return_total(),
+                "step {k} is not {what}: {cycles:?}"
+            );
+            let slice: u64 = cycles[..=k].iter().sum();
+            let trace = lockstep(|rig| {
+                let p = nested_chain(rig, |_| {});
+                let ps = rig.space.process_mut(p).unwrap();
+                ps.timeslice = slice;
+                ps.slice_remaining = slice;
+                p
+            });
+            assert!(
+                trace
+                    .iter()
+                    .any(|(e, _)| matches!(e, StepEvent::TimesliceEnd(_))),
+                "no preemption on {what}: {trace:?}"
+            );
+            assert!(matches!(last(&trace), StepEvent::ProcessExited(_)));
+        }
+    }
+
+    #[test]
+    fn native_callee_defers_and_sees_flushed_accounting() {
+        let trace = lockstep(|rig| {
+            // The body reports the process's cycle count as the locked
+            // path would have written it back: a native run with
+            // unflushed registers would read a stale count.
+            let nid = rig.natives.register("cycles", |cx| {
+                cx.charge(25);
+                let ps = cx.space.process(cx.process).map_err(Fault::from)?;
+                Ok(NativeReturn::value(ps.total_cycles))
+            });
+            let svc = rig.domain(
+                "os",
+                vec![Subprogram {
+                    name: "cycles".into(),
+                    body: CodeBody::Native(nid),
+                    ctx_data_len: 32,
+                    ctx_access_len: 8,
+                }],
+            );
+            let mut main = ProgramBuilder::new();
+            main.work(11);
+            main.call(S_DOM, 0, None, None, Some(0));
+            main.work(5);
+            main.call(S_DOM, 0, None, None, Some(8));
+            main.halt();
+            let main = rig.sub("main", main.finish());
+            let app = rig.domain("app", vec![main]);
+            let p = rig.spawn(app, 0);
+            let ctx = root_ctx(rig, p);
+            rig.space.store_ad_hw(ctx, S_DOM as u32, Some(svc)).unwrap();
+            p
+        });
+        assert!(
+            matches!(last(&trace), StepEvent::ProcessExited(_)),
+            "{trace:?}"
+        );
+        // Each native CALL is charged once: the domain switch both ways
+        // plus the body's own 25 cycles.
+        let cost = CostModel::default();
+        let calls: Vec<u64> = trace
+            .iter()
+            .filter_map(|(e, _)| match e {
+                StepEvent::Executed { cycles, .. } if *cycles > 100 => Some(*cycles),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(calls.len(), 2, "{trace:?}");
+        for c in calls {
+            assert!(
+                c >= cost.call_total() + cost.return_total() + 25,
+                "native CALL charged {c} cycles"
+            );
+            assert!(c < 2 * cost.call_total(), "native CALL charged twice: {c}");
+        }
+    }
+
+    #[test]
+    fn root_return_defers_and_exits() {
+        let trace = lockstep(|rig| {
+            let mut main = ProgramBuilder::new();
+            main.work(17);
+            main.mov(DataRef::Imm(3), DataDst::Local(0));
+            main.ret(None, Some(DataRef::Local(0)));
+            let main = rig.sub("main", main.finish());
+            let app = rig.domain("app", vec![main]);
+            rig.spawn(app, 0)
+        });
+        assert!(
+            matches!(last(&trace), StepEvent::ProcessExited(_)),
+            "{trace:?}"
+        );
+        assert!(
+            !trace.last().unwrap().1,
+            "an exited process leaves nothing bound"
+        );
     }
 }
